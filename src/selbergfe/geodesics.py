@@ -12,14 +12,24 @@ horizon are counted per word class) and the spectrum file discloses it.
 Geodesics gamma and gamma^-1 are counted as distinct throughout, the
 convention under which the sine factor in the functional equation has
 degree 4-4g.
+
+A LengthSpectrum is frozen and carries one read-only array view of its
+rows (lengths, multiplicities, cumulative multiplicities), built when it
+is made.  The Euler products and the counts are array arithmetic over
+that view.  Each Euler product's error estimate bounds the truncation
+of the inner product of Z (none for zeta) plus the floating-point
+rounding of its terms, sums and final exp; the spectrum itself is
+finite, which its completeness horizon discloses.
 """
 from __future__ import annotations
 
 import math
 import os
+import sys
 import tempfile
 import warnings
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -58,11 +68,6 @@ class Mat2:
     def as_array(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]])
 
-    @classmethod
-    def from_array(cls, m: np.ndarray) -> "Mat2":
-        return cls(float(m[0, 0]), float(m[0, 1]),
-                   float(m[1, 0]), float(m[1, 1])).renormalized()
-
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(self.a * other.a + self.b * other.c,
                     self.a * other.b + self.b * other.d,
@@ -87,37 +92,58 @@ class FuchsianGroup:
 
 
 @dataclass(frozen=True)
-class PrimitiveGeodesic:
-    length: float
-    norm: float
-    trace_abs: float
-    word: str = ""
-
-
-@dataclass
 class LengthSpectrum:
-    entries: List[Tuple[float, int]]
+    """Length spectrum: (length, multiplicity) rows in increasing length.
+
+    Frozen, so the array view built once by __post_init__ cannot go
+    stale.  The view is read-only float64: `lengths` and `mults`, one
+    element per row, and `cum_mults`, one element more: cum_mults[i] is
+    the number of classes in the first i rows, exact below 2**53.
+    """
+    entries: Tuple[Tuple[float, int], ...]
     genus: int
     source: str
     horizon: float
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    mults: np.ndarray = field(init=False, repr=False, compare=False)
+    cum_mults: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.genus < 2:
             raise ValueError(f"genus must be >= 2, got {self.genus}")
-        prev = None
-        for ell, mult in self.entries:
-            if mult < 1:
-                raise ValueError(f"multiplicity must be >= 1 at length {ell}")
-            if prev is not None and ell - prev <= _LENGTH_MERGE_TOL:
-                raise ValueError(
-                    f"lengths must increase by more than {_LENGTH_MERGE_TOL}: "
-                    f"{prev} then {ell}")
-            prev = ell
-        if self.entries and self.horizon > self.entries[-1][0] + 1e-12:
+        entries = tuple(self.entries)
+        n = len(entries)
+        lengths = np.fromiter(map(itemgetter(0), entries), np.float64, n)
+        try:
+            mults = np.fromiter(map(itemgetter(1), entries), np.float64, n)
+        except OverflowError:
+            raise ValueError("a multiplicity exceeds the float range") from None
+        # the first offending row names the error, its multiplicity first
+        low = np.flatnonzero(mults < 1)
+        close = np.flatnonzero(~(np.diff(lengths) > _LENGTH_MERGE_TOL)) + 1
+        if low.size and not (close.size and close[0] < low[0]):
+            raise ValueError("multiplicity must be >= 1 at length "
+                             f"{entries[low[0]][0]}")
+        if close.size:
+            i = close[0]
+            raise ValueError(
+                f"lengths must increase by more than {_LENGTH_MERGE_TOL}: "
+                f"{entries[i - 1][0]} then {entries[i][0]}")
+        if n and not lengths[0] > 0:
+            raise ValueError(f"lengths must be positive, got {entries[0][0]}")
+        if n and self.horizon > lengths[-1] + 1e-12:
             raise ValueError("completeness horizon exceeds max recorded length")
+        cum = np.concatenate(([0.0], np.cumsum(mults)))
+        if cum[-1] > 2.0 ** 53:
+            raise ValueError("more than 2**53 classes: counts would be inexact")
+        for name, arr in (("lengths", lengths), ("mults", mults),
+                          ("cum_mults", cum)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "entries", entries)
 
     def total_classes(self) -> int:
-        return sum(m for _, m in self.entries)
+        return int(self.cum_mults[-1])
 
 
 def _rotation(phi: float) -> Mat2:
@@ -350,67 +376,110 @@ def load_spectrum(path: str) -> LengthSpectrum:
 # moderate s; otherwise the ratio selberg_Z(s+1)/selberg_Z(s) loses classes
 # that euler_zeta keeps and the telescoping identity degrades to ~1e-12.
 _INNER_CUTOFF = 1e-45
+_EPS = sys.float_info.epsilon
+
+
+def _log_factors(ell: np.ndarray, p: float, q: np.ndarray,
+                 mult: np.ndarray) -> Tuple[float, float]:
+    """log prod (1 - q)^-mult for q = exp(-ell p), and a bound on its rounding.
+
+    Every term -mult log1p(-q) is >= 0, so the sum is the sum of the
+    |terms|.  A term is off by at most eps (x + 5) of itself, x = ell p:
+    rounding p and the product moves the exponent by 2u x and so q by
+    that much relatively, and exp, log1p and the product by mult add an
+    ulp or so each.  numpy's pairwise sum rounds each term at most
+    19 + bit_length(n // 128) times: blocks of at most 128 terms are
+    summed by 8 accumulators of 16 terms each, then pairwise.
+    """
+    t = mult * np.log1p(-q)
+    log_inv = -float(t.sum())
+    roundings = 5.0 + 0.5 * (19 + (t.size // 128).bit_length())
+    return log_inv, _EPS * (roundings * log_inv - p * float(np.dot(t, ell)))
 
 
 def selberg_Z(s: float, sp: LengthSpectrum) -> SpecialValue:
     """Double Euler product prod_P prod_n (1 - N(P)^-(s+n)), in log space.
 
-    The inner product truncates when the term drops below 1e-17; only
-    that truncation is covered by the error estimate (the spectrum
-    itself is finite, disclosed via the completeness horizon).
+    Over the spectrum's array view, n = 0, 1, ... at once for every
+    length: a length's inner product runs while q = exp(-length (s+n))
+    >= _INNER_CUTOFF = 1e-45 and drops the length at its first smaller
+    q.  The lengths are sorted, so q falls along the array and the
+    lengths still running form a prefix.  The error estimate covers that
+    truncation (mult q / (1 - exp(-length)) for the first dropped q) and
+    the rounding of the terms, the sums and the final exp.  The spectrum
+    itself is finite, disclosed via the completeness horizon.
     """
     if s <= 1.0 + 1e-3:
         raise DomainError(f"selberg_Z requires s > 1 + 1e-3, got s={s}")
-    terms = []
+    ell, mult = sp.lengths, sp.mults
+    sums = []
     err = 0.0
-    for ell, mult in sp.entries:
-        n = 0
-        while True:
-            q = math.exp(-ell * (s + n))
-            if q < _INNER_CUTOFF:
-                err += mult * q / (1.0 - math.exp(-ell))
-                break
-            terms.append(mult * math.log1p(-q))
-            n += 1
-    v = math.exp(math.fsum(terms))
-    return SpecialValue(v, abs(v) * err)
+    n = 0
+    while ell.size:
+        q = np.exp(ell * -(s + n))
+        k = np.count_nonzero(q >= _INNER_CUTOFF)
+        if k < q.size:
+            err += float(np.dot(mult[k:], q[k:] / (1.0 - np.exp(-ell[k:]))))
+            ell, mult, q = ell[:k], mult[:k], q[:k]
+        log_inv, round_err = _log_factors(ell, s + n, q, mult)
+        sums.append(-log_inv)
+        err += round_err
+        n += 1
+    log_v = math.fsum(sums)
+    v = math.exp(log_v)
+    return SpecialValue(v, v * (err + _EPS * (abs(log_v) + 1.0)))
+
+
+def _log_euler_zeta(s: float, sp: LengthSpectrum) -> Tuple[float, float]:
+    """log prod_P (1 - N(P)^-s)^-1 and a bound on its rounding error."""
+    return _log_factors(sp.lengths, s, np.exp(sp.lengths * -s), sp.mults)
 
 
 def euler_zeta(s: float, sp: LengthSpectrum) -> SpecialValue:
-    """Simple Euler product prod_P (1 - N(P)^-s)^-1, in log space."""
+    """Simple Euler product prod_P (1 - N(P)^-s)^-1, in log space.
+
+    The error estimate bounds the rounding of the terms, their sum and
+    the final exp; the product over the finite spectrum is not truncated.
+    """
     if s <= 1.0 + 1e-3:
         raise DomainError(f"euler_zeta requires s > 1 + 1e-3, got s={s}")
-    v = math.exp(-math.fsum(
-        mult * math.log1p(-math.exp(-ell * s)) for ell, mult in sp.entries))
-    return SpecialValue(v, abs(v) * 1e-15 * max(1, len(sp.entries)))
+    log_v, err = _log_euler_zeta(s, sp)
+    v = math.exp(log_v)
+    return SpecialValue(v, v * (err + _EPS))
 
 
 def zeta_motive_numeric(f: LaurentPoly, s: float,
                         sp: LengthSpectrum) -> SpecialValue:
-    """prod_k euler_zeta(s - k)^a(k) inside the common convergence region."""
+    """prod_k euler_zeta(s - k)^a(k) inside the common convergence region.
+
+    Summed in log space; the error estimate is sum |a(k)| times each
+    factor's log error, plus the rounding of the sum and the final exp.
+    """
     for k in f.support():
         if s - k <= 1.0 + 1e-3:
             raise DomainError(
                 f"motive factor k={k} needs s - k > 1 + 1e-3, "
                 f"got s - k = {s - k}")
-    log_total = 0.0
+    log_v = 0.0
     err = 0.0
+    scale = 0.0
     for k, a in f.coeffs.items():
-        part = euler_zeta(s - k, sp)
-        log_total += a * math.log(part.value)
-        err += abs(a) * part.abs_err_estimate / part.value
-    v = math.exp(log_total)
-    return SpecialValue(v, abs(v) * err)
+        log_part, part_err = _log_euler_zeta(s - k, sp)
+        log_v += a * log_part
+        err += abs(a) * part_err
+        scale += abs(a * log_part)
+    v = math.exp(log_v)
+    return SpecialValue(v, v * (err + _EPS * (len(f.coeffs) * scale + 1.0)))
 
 
 # -- counting ------------------------------------------------------------
 
 def geodesic_count(x: float, sp: LengthSpectrum) -> int:
     """Number of primitive classes with norm exp(length) <= x."""
-    if x < 1.0:
+    if not x >= 1.0:
         raise DomainError(f"geodesic_count requires x >= 1, got x={x}")
-    bound = math.log(x)
-    return sum(mult for ell, mult in sp.entries if ell <= bound)
+    rows = np.searchsorted(sp.lengths, math.log(x), side="right")
+    return int(sp.cum_mults[rows])
 
 
 def pgt_table(sp: LengthSpectrum,

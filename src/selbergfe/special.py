@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Union
+from typing import List, Tuple, Union
 
 from scipy.integrate import quad
 
@@ -258,14 +259,45 @@ def _is_integer(s: float, tol: float = 1e-12) -> bool:
     return abs(s - round(s)) < tol
 
 
-def _s2_raw(s: float, ev: SpecialEvaluator) -> float:
-    """S_2 on the base window via gammas, elsewhere by the shift ladder."""
-    if 0.5 < s <= 1.5:
-        return math.exp(log_gamma_r(2, 2 - s, ev).value
-                        - log_gamma_r(2, s, ev).value)
-    if s > 1.5:
-        return _s2_raw(s - 1, ev) / (2 * math.sin(math.pi * (s - 1)))
-    return _s2_raw(s + 1, ev) * (2 * math.sin(math.pi * s))
+# the ladder loop takes one step per unit of |s|: the cap bounds its run time
+_S2_MAX_LADDER = 100_000
+_EPS = sys.float_info.epsilon
+
+
+def _two_sin_pi(t: float) -> Tuple[float, float]:
+    """2 sin(pi t) and a bound on its relative rounding error.
+
+    t is first reduced to d in [-1, 1] by an exact subtraction, so the
+    argument pi d is off only by the rounding of pi and of the product,
+    about 0.7 eps |pi d|; the sine turns that into 0.7 eps |pi d cot pi d|
+    of itself, and math.sin and the caller's product or quotient add an
+    ulp each.
+    """
+    arg = math.pi * (t - 2.0 * round(t / 2.0))
+    return 2.0 * math.sin(arg), _EPS * (2.0 + abs(arg / math.tan(arg)))
+
+
+def _s2_raw(s: float, ev: SpecialEvaluator) -> Tuple[float, float]:
+    """S_2 on the base window via gammas, elsewhere by the shift ladder.
+
+    Returns the value and the ladder's relative rounding bound (0 on the
+    base window).  The ladder runs as a loop from s to the base point b
+    in (1/2, 3/2]; t -= 1 and t += 1 are exact for these |t|.
+    """
+    t, factor, err = s, 1.0, 0.0
+    while t > 1.5:
+        t -= 1
+        sine, step_err = _two_sin_pi(t)
+        factor /= sine
+        err += step_err
+    while t <= 0.5:
+        sine, step_err = _two_sin_pi(t)
+        factor *= sine
+        err += step_err
+        t += 1
+    base = math.exp(log_gamma_r(2, 2 - t, ev).value
+                    - log_gamma_r(2, t, ev).value)
+    return base * factor, err
 
 
 def sine_r(r: int, s: float,
@@ -273,8 +305,10 @@ def sine_r(r: int, s: float,
     """Normalized multiple sine of order 1 or 2.
 
     Order 1 is only needed on its base window (0, 1); order 2 is
-    extended to all non-integer real s by the shift ladder
-    S_2(s+1) = S_2(s) / (2 sin pi s).
+    extended to non-integer real s, |s| <= 100000, by the shift ladder
+    S_2(s+1) = S_2(s) / (2 sin pi s).  The order-2 error estimate is
+    1e-13 for the base window plus the rounding bound of every ladder
+    step, so it grows with |s|.
     """
     if r == 1:
         if not 0 < s < 1:
@@ -285,10 +319,13 @@ def sine_r(r: int, s: float,
         return SpecialValue(v, abs(v) * (lg.abs_err_estimate + lg2.abs_err_estimate))
     if r != 2:
         raise DomainError(f"sine_r supports r in {{1, 2}}, got r={r}")
+    if not abs(s) <= _S2_MAX_LADDER:
+        raise DomainError(f"sine_r(2, s) requires |s| <= {_S2_MAX_LADDER}, "
+                          f"got s={s}")
     if _is_integer(s) and round(s) != 1:
         raise PoleError(f"S_2 evaluation hits a sine zero/pole at integer s={s}")
-    v = _s2_raw(s, ev)
-    return SpecialValue(v, abs(v) * 1e-13)
+    v, ladder_err = _s2_raw(s, ev)
+    return SpecialValue(v, abs(v) * (1e-13 + ladder_err))
 
 
 def gamma_M(s: float, params: SurfaceParams,

@@ -1,6 +1,9 @@
+import dataclasses
 import math
 import os
+import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -82,7 +85,7 @@ def test_spectrum_word_length_one(bolza):
 def test_spectrum_monotone_and_prefix_stable(bolza, spectrum5):
     sp4 = enumerate_spectrum(bolza, 4)
     assert len(spectrum5.entries) >= len(sp4.entries)
-    prefix = [e for e in sp4.entries if e[0] <= sp4.horizon]
+    prefix = tuple(e for e in sp4.entries if e[0] <= sp4.horizon)
     assert spectrum5.entries[:len(prefix)] == prefix
 
 
@@ -107,6 +110,32 @@ def test_spectrum_invariants(spectrum5):
     lengths = [l for l, _ in spectrum5.entries]
     assert all(b - a > 1e-9 for a, b in zip(lengths, lengths[1:]))
     assert spectrum5.horizon <= lengths[-1]
+
+
+def test_spectrum_is_frozen(spectrum5):
+    assert isinstance(spectrum5.entries, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spectrum5.entries = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spectrum5.horizon = 0.0
+    with pytest.raises(ValueError):
+        spectrum5.lengths[0] = 1.0
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([(3.0, 2), (4.0, 0)], "multiplicity must be >= 1 at length 4.0"),
+    ([(3.0, 2), (3.0 + 1e-10, 2)], "3.0 then 3.0000000001"),
+    ([(3.0, 2), (2.0, 0)], "multiplicity must be >= 1 at length 2.0"),
+    ([(3.0, 2), (2.0, 2), (4.0, 0)], "3.0 then 2.0"),
+    ([(3.0, 2), (math.nan, 2)], "3.0 then nan"),
+    ([(math.nan, 2)], "lengths must be positive, got nan"),
+    ([(-1.0, 2), (3.0, 2)], "lengths must be positive, got -1.0"),
+    ([(3.0, 10 ** 16)], "more than 2**53 classes"),
+    ([(3.0, 10 ** 400)], "a multiplicity exceeds the float range"),
+])
+def test_spectrum_validation_names_the_row(entries, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LengthSpectrum(entries=entries, genus=2, source="test", horizon=0.0)
 
 
 # -- persistence ---------------------------------------------------------
@@ -164,6 +193,42 @@ def test_selberg_Z_single_entry():
     assert selberg_Z(2.0, sp).value == pytest.approx(expected, rel=1e-15)
 
 
+def test_selberg_Z_factor_below_cutoff():
+    """A length whose n = 0 factor is already below the cutoff drops
+    out of the product, and its truncation stays in the estimate."""
+    sp = LengthSpectrum(entries=[(200.0, 2)], genus=2, source="test",
+                        horizon=200.0)
+    sv = selberg_Z(2.0, sp)
+    assert sv.value == 1.0
+    assert sv.abs_err_estimate > 0
+
+
+def _mp_log_euler(s, entries, inner):
+    """log of prod over the entries of prod_{n < inner} (1 - e^-l(s+n))^m."""
+    sm = mpmath.mpf(s)
+    return mpmath.fsum(m * mpmath.log1p(-mpmath.exp(-mpmath.mpf(l) * (sm + n)))
+                       for l, m in entries for n in range(inner))
+
+
+@pytest.mark.parametrize("s", [1.2, 2.0, 5.0])
+def test_euler_products_vs_mpmath(spectrum5, s):
+    """Each value is within its own error estimate of a 30-digit product."""
+    motive = LaurentPoly({-1: 1, 0: -1})
+    with mpmath.workdps(30):
+        # 40 factors reach e^-(40 l) < 1e-53 for every length l >= 3
+        log_z = _mp_log_euler(s, spectrum5.entries, 40)
+        log_zeta = {t: -_mp_log_euler(t, spectrum5.entries, 1)
+                    for t in (s, s + 1)}
+        refs = (mpmath.exp(log_z), mpmath.exp(log_zeta[s]),
+                mpmath.exp(log_zeta[s + 1] - log_zeta[s]))
+    values = (selberg_Z(s, spectrum5), euler_zeta(s, spectrum5),
+              zeta_motive_numeric(motive, s, spectrum5))
+    for sv, ref in zip(values, refs):
+        err = float(abs(sv.value - ref))
+        assert err <= sv.abs_err_estimate
+        assert sv.abs_err_estimate < 1e-13 * abs(sv.value)
+
+
 def test_selberg_Z_in_unit_interval(spectrum5):
     v = selberg_Z(4.0, spectrum5).value
     assert 0 < v < 1
@@ -217,6 +282,21 @@ def test_count_at_systole(spectrum5):
     assert geodesic_count(x, spectrum5) == spectrum5.entries[0][1]
 
 
+def test_count_at_each_length(spectrum5):
+    """x = exp(length) exactly: a row counts when length <= log x."""
+    for ell, _ in spectrum5.entries[:8]:
+        x = math.exp(ell)
+        brute = sum(m for l, m in spectrum5.entries if l <= math.log(x))
+        assert geodesic_count(x, spectrum5) == brute
+
+
+def test_count_empty_spectrum():
+    sp = LengthSpectrum(entries=[], genus=2, source="test", horizon=0.0)
+    assert geodesic_count(1.0, sp) == 0
+    assert geodesic_count(1e30, sp) == 0
+    assert sp.total_classes() == 0
+
+
 def test_count_bounded_by_total(spectrum5):
     assert geodesic_count(1e30, spectrum5) == spectrum5.total_classes()
 
@@ -228,8 +308,9 @@ def test_count_brute_force_agreement(spectrum5):
 
 
 def test_count_domain(spectrum5):
-    with pytest.raises(DomainError):
-        geodesic_count(0.5, spectrum5)
+    for x in (0.5, math.nan):
+        with pytest.raises(DomainError):
+            geodesic_count(x, spectrum5)
 
 
 def test_pgt_table(spectrum5):

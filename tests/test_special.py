@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -205,6 +206,35 @@ def test_sine_order_domain():
         sine_r(1, 1.5)
     with pytest.raises(DomainError):
         sine_r(3, 0.5)
+    for s in (100000.5, -100000.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            sine_r(2, s)
+
+
+def _mp_s2_closed_form(s):
+    """S_2(b + n) = S_2(b) (-1)^(n(n-1)/2) / (2 sin pi b)^n at 30 digits,
+    b = s - n in (1/2, 3/2], S_2(b) = Gamma_2(2 - b) / Gamma_2(b) with
+    log Gamma_2(x) = (1 - x) zeta'(0, x) + zeta'(-1, x)."""
+    n = math.ceil(s - 1.5)
+    with mpmath.workdps(30):
+        b = mpmath.mpf(s) - n
+
+        def log_gamma2(x):
+            return (1 - x) * mpmath.zeta(0, x, 1) + mpmath.zeta(-1, x, 1)
+
+        base = mpmath.exp(log_gamma2(2 - b) - log_gamma2(b))
+        return base * (-1) ** (n * (n - 1) // 2) / (2 * mpmath.sinpi(b)) ** n
+
+
+@pytest.mark.parametrize("s", [1200 + 1 / 6, -1000 + 1 / 6])
+def test_s2_deep_ladder(s):
+    """Far along the ladder, where |2 sin pi b| = 1 keeps S_2 of order 1."""
+    sv = sine_r(2, s)
+    ref = _mp_s2_closed_form(s)
+    err = float(abs(sv.value - ref))
+    assert err <= sv.abs_err_estimate
+    assert err < 1e-10 * abs(sv.value)
+    assert 0.5 < abs(sv.value) < 2
 
 
 def test_ladder_grid():
