@@ -385,11 +385,12 @@ def _log_factors(ell: np.ndarray, p: float, q: np.ndarray,
 
     Every term -mult log1p(-q) is >= 0, so the sum is the sum of the
     |terms|.  A term is off by at most eps (x + 5) of itself, x = ell p:
-    rounding p and the product moves the exponent by 2u x and so q by
+    rounding p and the product moves the exponent by eps x and so q by
     that much relatively, and exp, log1p and the product by mult add an
-    ulp or so each.  numpy's pairwise sum rounds each term at most
-    19 + bit_length(n // 128) times: blocks of at most 128 terms are
-    summed by 8 accumulators of 16 terms each, then pairwise.
+    ulp or so each.  numpy's pairwise sum rounds each term, by eps / 2
+    at most, at most 19 + bit_length(n // 128) times: blocks of at most
+    128 terms are summed by 8 accumulators of 16 terms each, then
+    pairwise.
     """
     t = mult * np.log1p(-q)
     log_inv = -float(t.sum())
