@@ -19,12 +19,11 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-word-len", type=int, default=8)
     ap.add_argument("--out", default="bolza_spectrum.txt")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     t0 = time.monotonic()
     group = bolza_group()
-    sp = enumerate_spectrum(group, args.max_word_len, threads=args.threads)
+    sp = enumerate_spectrum(group, args.max_word_len)
     save_spectrum(sp, args.out)
     print(f"spectrum: {len(sp.entries)} distinct lengths, "
           f"{sp.total_classes()} oriented classes "

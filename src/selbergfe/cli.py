@@ -18,33 +18,24 @@ from .laurent import SymmetryKind
 
 _CONFIG_KEYS = {
     "genus": int,
-    "threads": int,
     "euler_maclaurin_cutoff": int,
     "bernoulli_terms": int,
-    "target_rel_tol": float,
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
     genus: int = 2
-    threads: int = 1
     euler_maclaurin_cutoff: int = 24
     bernoulli_terms: int = 12
-    target_rel_tol: float = 1e-12
 
     def __post_init__(self):
         if self.genus < 2:
             raise ValueError(f"genus must be >= 2, got {self.genus}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.target_rel_tol <= 0:
-            raise ValueError("target_rel_tol must be positive")
 
     def evaluator(self) -> special.SpecialEvaluator:
         return special.SpecialEvaluator(self.euler_maclaurin_cutoff,
-                                        self.bernoulli_terms,
-                                        self.target_rel_tol)
+                                        self.bernoulli_terms)
 
 
 def load_config(path: str) -> dict:
@@ -218,8 +209,7 @@ def _cmd_special_check(args, cfg: RunConfig, out: _Output) -> int:
 
 def _cmd_spectrum_bolza(args, cfg: RunConfig, out: _Output) -> int:
     sp = geodesics.enumerate_spectrum(geodesics.bolza_group(),
-                                      args.max_word_len,
-                                      threads=cfg.threads)
+                                      args.max_word_len)
     geodesics.save_spectrum(sp, args.out)
     out.write(f"wrote {len(sp.entries)} length entries "
               f"({sp.total_classes()} classes) to {args.out}")
@@ -272,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Functional equations and numerics for Selberg zeta "
                     "functions twisted by integer Laurent polynomials.")
     parser.add_argument("--config", help="key=value config file (flags win)")
-    parser.add_argument("--threads", type=int, help="worker thread count")
     parser.add_argument("--genus", type=int, help="surface genus (>= 2)")
     parser.add_argument("--out", help="write output to this path")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -342,8 +331,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         values = load_config(args.config) if args.config else {}
-        if args.threads is not None:
-            values["threads"] = args.threads
         if args.genus is not None:
             values["genus"] = args.genus
         cfg = RunConfig(**values)

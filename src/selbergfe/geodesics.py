@@ -245,20 +245,17 @@ def _classify_frontier(words: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return abs_tr[np.sort(first)]
 
 
-def enumerate_spectrum(group: FuchsianGroup, max_word_len: int,
-                       threads: int = 1) -> LengthSpectrum:
+def enumerate_spectrum(group: FuchsianGroup,
+                       max_word_len: int) -> LengthSpectrum:
     """Breadth-first word enumeration up to max_word_len, classified.
 
-    The result is deterministic and independent of the threads knob
-    (the evaluation is vectorized; the knob is accepted for interface
-    stability and validated only).
+    The result is deterministic: the same group and bound give the same
+    spectrum on every run.
     """
     if max_word_len < 1:
         raise ValueError(f"max_word_len must be >= 1, got {max_word_len}")
     if max_word_len > _MAX_WORD_LEN:
         raise ValueError(f"max_word_len is capped at {_MAX_WORD_LEN}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
 
     letters = _letter_matrices(group)
     n_letters = letters.shape[0]

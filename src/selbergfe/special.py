@@ -41,15 +41,12 @@ class SpecialEvaluator:
     """
     euler_maclaurin_cutoff: int = 24
     bernoulli_terms: int = 12
-    target_rel_tol: float = 1e-12
 
     def __post_init__(self):
         if self.euler_maclaurin_cutoff < 8:
             raise ValueError("euler_maclaurin_cutoff must be >= 8")
         if self.bernoulli_terms < 4:
             raise ValueError("bernoulli_terms must be >= 4")
-        if self.target_rel_tol <= 0:
-            raise ValueError("target_rel_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -262,6 +259,7 @@ def _is_integer(s: float, tol: float = 1e-12) -> bool:
 # the ladder loop takes one step per unit of |s|: the cap bounds its run time
 _S2_MAX_LADDER = 100_000
 _EPS = sys.float_info.epsilon
+_FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
 
 
 def _two_sin_pi(t: float) -> Tuple[float, float]:
@@ -282,7 +280,9 @@ def _s2_raw(s: float, ev: SpecialEvaluator) -> Tuple[float, float]:
 
     Returns the value and the ladder's relative rounding bound (0 on the
     base window).  The ladder runs as a loop from s to the base point b
-    in (1/2, 3/2]; t -= 1 and t += 1 are exact for these |t|.
+    in (1/2, 3/2]; t -= 1 and t += 1 are exact for these |t|.  Raises
+    DomainError where the ladder product or the value is not a normal
+    float: there the result would be 0, inf or lose precision.
     """
     t, factor, err = s, 1.0, 0.0
     while t > 1.5:
@@ -297,7 +297,14 @@ def _s2_raw(s: float, ev: SpecialEvaluator) -> Tuple[float, float]:
         t += 1
     base = math.exp(log_gamma_r(2, 2 - t, ev).value
                     - log_gamma_r(2, t, ev).value)
-    return base * factor, err
+    v = base * factor
+    # |2 sin pi t| is the same at every step, so |factor| moves away from 1
+    # monotonically: if it ends as a normal float, so was every step
+    if not (_FLOAT_MIN <= abs(factor) <= _FLOAT_MAX
+            and _FLOAT_MIN <= abs(v) <= _FLOAT_MAX):
+        raise DomainError(f"S_2({s}) = {v!r} lies outside the normal float "
+                          "range; it cannot be evaluated as a float")
+    return v, err
 
 
 def sine_r(r: int, s: float,
@@ -308,7 +315,8 @@ def sine_r(r: int, s: float,
     extended to non-integer real s, |s| <= 100000, by the shift ladder
     S_2(s+1) = S_2(s) / (2 sin pi s).  The order-2 error estimate is
     1e-13 for the base window plus the rounding bound of every ladder
-    step, so it grows with |s|.
+    step, so it grows with |s|.  Raises DomainError where |S_2(s)| is
+    not a normal float (it over- or underflows far along the ladder).
     """
     if r == 1:
         if not 0 < s < 1:

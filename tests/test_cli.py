@@ -60,6 +60,56 @@ def test_fe_verify_Z(capsys):
     assert "verdict: PASS" in out
 
 
+# full stdout and exit code of the formal engine's commands, pinned so a
+# rewrite of the engine keeps its output byte-identical
+FE_GOLDEN = {
+    "odd": (["fe", "verify", "--poly=-2=1,-1=-3,1=3,2=-1"], 0,
+            "detected C = -1, D = 0\n"
+            "odd-type equation holds: zeta_M(f)(0-s) = zeta_M(f)(s)\n"
+            "canonical quotient (vs plain reflection) = 1\n"
+            "verdict: PASS\n"),
+    "even": (["fe", "verify", "--poly=-1=1,0=-1,1=1"], 0,
+             "detected C = +1, D = 0\n"
+             "even-type equation holds: zeta_M(f)(0-s) = "
+             "zeta_M(f)(s)^-1 (2 sin pi s)^((4-4g)*1)\n"
+             "canonical quotient (vs plain reflection) = zeta_M(s+1)^-2 * "
+             "zeta_M(s)^2 * zeta_M(s-1)^-2 * (2 sin pi s)^((2-2g)*2)\n"
+             "verdict: PASS\n"),
+    "none": (["fe", "verify", "--poly", "2=1,1=2"], 1,
+             "kind = none; no (C, D) detected\n"
+             "verdict: FAIL\n"),
+    "wrong-D": (["fe", "verify", "--poly", "0=-1,1=1", "--d", "3"], 1,
+                "no functional equation at D = 3\n"
+                "canonical quotient (vs plain reflection) = zeta_M(s)^1 * "
+                "zeta_M(s-1)^-1 * zeta_M(s-2)^-1 * zeta_M(s-3)^1\n"
+                "verdict: FAIL\n"),
+    "Z-odd": (["fe", "verify", "--poly=-1=1,0=-1", "--kind", "Z"], 0,
+              "detected C = -1, D = -1\n"
+              "lhs  = Z_M(s+1)^-1 * Z_M(s)^1 * (2 sin pi s)^((2-2g)*2)\n"
+              "rhs  = Z_M(s+1)^-1 * Z_M(s)^1 * (2 sin pi s)^((2-2g)*2)\n"
+              "residual = 1\n"
+              "verdict: PASS\n"),
+    "Z-even": (["fe", "verify", "--poly", "0=1", "--kind", "Z"], 0,
+               "detected C = +1, D = 0\n"
+               "lhs  = Z_M(s)^1 * S_2(s)^((2-2g)*2) * (2 sin pi s)^((2-2g)*-1)\n"
+               "rhs  = Z_M(s)^1 * S_2(s)^((2-2g)*2) * (2 sin pi s)^((2-2g)*-1)\n"
+               "residual = 1\n"
+               "verdict: PASS\n"),
+    "derive-base": (["fe", "derive-base"], 0,
+                    "claim: zeta_M(-s) zeta_M(s) = (2 sin pi s)^(4-4g)\n"
+                    "derived = (2 sin pi s)^((2-2g)*2)\n"
+                    "residual = 1\n"
+                    "verdict: PASS\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FE_GOLDEN))
+def test_fe_golden_output(capsys, case):
+    argv, expected_code, expected_out = FE_GOLDEN[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (expected_code, expected_out, "")
+
+
 def test_fe_derive_base(capsys):
     code, out, _ = run(capsys, "fe", "derive-base")
     assert code == 0
@@ -70,6 +120,14 @@ def test_special_eval_s2(capsys):
     code, out, _ = run(capsys, "special", "eval", "--fn", "s2", "--s", "1.0")
     assert code == 0
     assert "value = 1.0000000000000000e+00" in out
+
+
+def test_special_eval_s2_outside_float_range(capsys):
+    code, out, err = run(capsys, "special", "eval", "--fn", "s2",
+                         "--s", "99999.7")
+    assert code == 2
+    assert out == ""
+    assert "error" in err
 
 
 def test_special_eval_fe_factor_domain_error(capsys):
@@ -171,10 +229,19 @@ def test_config_unknown_key_rejected(tmp_path):
         load_config(str(cfg))
 
 
+@pytest.mark.parametrize("key", ["threads", "target_rel_tol"])
+def test_removed_knobs_rejected(capsys, tmp_path, key):
+    # neither knob did anything; a config that still sets one is refused
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    with pytest.raises(ValueError, match="unknown config key"):
+        load_config(str(cfg))
+    code, _, _ = run(capsys, "--config", str(cfg), "fe", "derive-base")
+    assert code == 2
+    code, _, _ = run(capsys, "--threads", "2", "fe", "derive-base")
+    assert code == 2
+
+
 def test_runconfig_validation():
     with pytest.raises(ValueError):
         RunConfig(genus=1)
-    with pytest.raises(ValueError):
-        RunConfig(threads=0)
-    with pytest.raises(ValueError):
-        RunConfig(target_rel_tol=0)

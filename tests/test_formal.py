@@ -19,6 +19,49 @@ products = st.builds(
     st.dictionaries(st.integers(-4, 4), st.integers(-3, 3).filter(bool), max_size=4),
     st.dictionaries(st.integers(-4, 4), st.integers(-3, 3).filter(bool), max_size=4),
     st.integers(-5, 5))
+# shifts on both sides of 0, so negative ones go through the packed key
+wide_maps = st.dictionaries(st.integers(-8, 8), st.integers(-3, 3).filter(bool),
+                            max_size=5)
+wide_products = st.builds(FormalProduct, wide_maps, wide_maps, wide_maps,
+                          st.integers(-5, 5))
+
+
+# -- the exponent map ----------------------------------------------------
+
+@given(wide_maps, wide_maps, wide_maps, st.integers(-5, 5))
+@settings(max_examples=200)
+def test_views_round_trip(z, b, s2, q):
+    p = FormalProduct(z, b, s2, q)
+    assert (p.zeta_exp, p.bigz_exp, p.s2_exp, p.sin_exp) == (z, b, s2, q)
+    assert FormalProduct(zeta_exp=z, bigz_exp=b, s2_exp=s2, sin_exp=q) == p
+    assert FormalProduct(p.zeta_exp, p.bigz_exp, p.s2_exp, p.sin_exp) == p
+
+
+def _assert_no_zero_stored(p):
+    views = (p.zeta_exp, p.bigz_exp, p.s2_exp)
+    assert all(v for view in views for v in view.values())
+    # a stored zero sine exponent would leave is_empty() false
+    assert p.is_empty() == (not any(views) and p.sin_exp == 0)
+
+
+@given(wide_products, wide_products, st.integers(-3, 3))
+@settings(max_examples=200)
+def test_no_zero_exponent_stored(a, b, e):
+    for p in (a * b, a * a.inverse(), a ** e, quotient(a, b), quotient(a, a),
+              quotient(a, b, collapse_sines=False), canonicalize(a * b),
+              canonicalize(a, collapse_sines=False)):
+        _assert_no_zero_stored(p)
+
+
+def test_zero_exponents_are_dropped_and_views_read_only():
+    assert FormalProduct({0: 0}, {-1: 0}, {2: 0}, 0) == EMPTY
+    assert FormalProduct({0: 0}).is_empty()
+    p = FormalProduct(zeta_exp={-2: 1}, sin_exp=1)
+    with pytest.raises(TypeError):
+        p.zeta_exp[-2] = 2
+    with pytest.raises(AttributeError):
+        p.sin_exp = 2
+    assert p == FormalProduct(zeta_exp={-2: 1}, sin_exp=1)
 
 
 # -- constructors --------------------------------------------------------

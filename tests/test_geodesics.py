@@ -92,8 +92,6 @@ def test_spectrum_monotone_and_prefix_stable(bolza, spectrum5):
 def test_spectrum_rejects_bad_args(bolza):
     with pytest.raises(ValueError):
         enumerate_spectrum(bolza, 0)
-    with pytest.raises(ValueError):
-        enumerate_spectrum(bolza, 3, threads=0)
 
 
 def test_spectrum_multiplicities_even(spectrum5):
@@ -101,7 +99,7 @@ def test_spectrum_multiplicities_even(spectrum5):
 
 
 def test_spectrum_deterministic(bolza, spectrum5):
-    again = enumerate_spectrum(bolza, 5, threads=4)
+    again = enumerate_spectrum(bolza, 5)
     assert again.entries == spectrum5.entries
     assert again.horizon == spectrum5.horizon
 

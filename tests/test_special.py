@@ -237,6 +237,23 @@ def test_s2_deep_ladder(s):
     assert 0.5 < abs(sv.value) < 2
 
 
+@pytest.mark.parametrize("s", [99999.7, 5000.3, -5000.3])
+def test_s2_outside_float_range(s):
+    """|2 sin pi b| = 1.618 at every ladder step, so |S_2(s)| under- or
+    overflows there: an error, not 5e-324 or inf with a zero estimate."""
+    with pytest.raises(DomainError):
+        sine_r(2, s)
+
+
+@pytest.mark.parametrize("s", [1470.3, -1470.3])
+def test_s2_near_float_range_edge(s):
+    """|S_2(s)| is about 7.6e-308 and 3.4e+307 here: still normal floats."""
+    sv = sine_r(2, s)
+    err = float(abs(sv.value - _mp_s2_closed_form(s)))
+    assert err <= sv.abs_err_estimate
+    assert err < 1e-10 * abs(sv.value)
+
+
 def test_ladder_grid():
     rows = check_ladder()
     assert all(r.ok for r in rows)
@@ -337,8 +354,6 @@ def test_evaluator_floors():
         SpecialEvaluator(4, 12)
     with pytest.raises(ValueError):
         SpecialEvaluator(24, 2)
-    with pytest.raises(ValueError):
-        SpecialEvaluator(24, 12, -1.0)
 
 
 def test_evaluation_is_deterministic():
