@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional
 
-from .laurent import LaurentPoly, SymmetryKind, detect_automorphy, eval_at_one
+from .laurent import LaurentPoly, SymmetryKind, detect_automorphy
 
 # key = 4*shift + family, so family = key & 3 and shift = key >> 2, also
 # for shift < 0.  In a sweep that keeps its verdicts alive, with
@@ -138,14 +138,23 @@ class Verdict:
 
 # -- constructors from a motive ------------------------------------------
 
+# Functions of a LaurentPoly f read its coefficients through f.coeffs,
+# which copies them; a verdict copies them once and passes that dict c
+# to the private cores below.
+
+def _packed(c: Dict[int, int], family: int) -> FormalProduct:
+    """prod_k F(s-k)^c[k] for the family F."""
+    return _wrap({4 * k + family: a for k, a in c.items()})
+
+
 def from_motive_zeta(f: LaurentPoly) -> FormalProduct:
     """zeta_{M(f)}(s) = prod_k zeta_M(s-k)^a(k)."""
-    return _wrap({4 * k + _ZETA: a for k, a in f.coeffs.items()})
+    return _packed(f.coeffs, _ZETA)
 
 
 def from_motive_Z(f: LaurentPoly) -> FormalProduct:
     """Z_{M(f)}(s) = prod_k Z_M(s-k)^a(k)."""
-    return _wrap({4 * k + _BIGZ: a for k, a in f.coeffs.items()})
+    return _packed(f.coeffs, _BIGZ)
 
 
 # -- reflections ---------------------------------------------------------
@@ -158,7 +167,10 @@ def reflect_zeta(f: LaurentPoly, D: int) -> FormalProduct:
     exponent is the even number 4-4g, so every factor contributes two
     (2-2g)-units of sine per unit coefficient.
     """
-    c = f.coeffs
+    return _reflect_zeta(f.coeffs, D)
+
+
+def _reflect_zeta(c: Dict[int, int], D: int) -> FormalProduct:
     exp = {4 * (D - k) + _ZETA: -a for k, a in c.items()}
     q = 2 * sum(c.values())
     if q:
@@ -220,10 +232,9 @@ def quotient(a: FormalProduct, b: FormalProduct,
 
 # -- theorem-level verifiers ---------------------------------------------
 
-def _coeff_condition(f: LaurentPoly, D: int, sign: int) -> bool:
+def _coeff_condition(c: Dict[int, int], D: int, sign: int) -> bool:
     # checking k over the support suffices: the condition at k and at
     # D-k are equivalent for sign = +-1, and both-zero cases are vacuous
-    c = f.coeffs
     return all(c.get(D - k, 0) == sign * a for k, a in c.items())
 
 
@@ -233,11 +244,12 @@ def verify_theorem2(f: LaurentPoly, D: int) -> Verdict:
     Also evaluates the coefficient test a(D-k) = -a(k) so callers can
     confirm the two conditions agree.
     """
-    lhs = canonicalize(reflect_zeta(f, D))
-    rhs = canonicalize(from_motive_zeta(f))
+    c = f.coeffs
+    lhs = canonicalize(_reflect_zeta(c, D))
+    rhs = canonicalize(_packed(c, _ZETA))
     res = quotient(lhs, rhs)
     return Verdict(res.is_empty(), lhs, rhs, res,
-                   coefficient_condition=_coeff_condition(f, D, -1))
+                   coefficient_condition=_coeff_condition(c, D, -1))
 
 
 def verify_theorem3(f: LaurentPoly, D: int) -> Verdict:
@@ -246,12 +258,13 @@ def verify_theorem3(f: LaurentPoly, D: int) -> Verdict:
     The sine target is 2 f(1) in (2-2g)-units; the coefficient test is
     a(D-k) = a(k).
     """
-    lhs = canonicalize(reflect_zeta(f, D))
-    rhs = canonicalize(from_motive_zeta(f).inverse()
-                       * FormalProduct(sin_exp=2 * eval_at_one(f)))
+    c = f.coeffs
+    lhs = canonicalize(_reflect_zeta(c, D))
+    rhs = canonicalize(_packed(c, _ZETA).inverse()
+                       * FormalProduct(sin_exp=2 * sum(c.values())))
     res = quotient(lhs, rhs)
     return Verdict(res.is_empty(), lhs, rhs, res,
-                   coefficient_condition=_coeff_condition(f, D, +1))
+                   coefficient_condition=_coeff_condition(c, D, +1))
 
 
 def verify_Z_fe(f: LaurentPoly) -> Verdict:

@@ -9,6 +9,15 @@ words merged by trace clustering.  That classification is word-level
 (relator-induced duplicate words of complementary lengths inside the
 horizon are counted per word class) and the spectrum file discloses it.
 
+The breadth-first search carries each word as two int64 codes, 4 bits
+per letter with the first letter highest: the word and its inverse
+word.  Extending a word, testing its cyclic reduction, rotating it and
+keying its class up to rotation and inversion are shifts and masks on
+those codes, so words of up to 15 letters fit.  Memory is the real
+limit: the frontier grows sevenfold per letter (2k-1-fold for k
+generators), so an enumeration is refused before it starts when its
+estimated peak exceeds the physical memory of the machine.
+
 Geodesics gamma and gamma^-1 are counted as distinct throughout, the
 convention under which the sine factor in the functional equation has
 degree 4-4g.
@@ -30,7 +39,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +48,13 @@ from .special import DomainError, SpecialValue
 
 _TRACE_TOL = 1e-9
 _LENGTH_MERGE_TOL = 1e-9
-_MAX_WORD_LEN = 15  # rotation codes use 4 bits per letter in a 64-bit int
+_MAX_WORD_LEN = 15  # word codes use 4 bits per letter in a 64-bit int
+# Peak memory of an enumeration per word of its last frontier: 113 bytes
+# measured at L = 8 (710 MB above the interpreter's own for 8*7^7 words,
+# numpy 2.4, CPython 3.11), rounded up.  Building the last frontier
+# holds its per-letter blocks and their concatenation, 48 bytes a word
+# each (one 2x2 float64 matrix and two int64 codes).
+_PEAK_BYTES_PER_WORD = 120
 
 BOLZA_LENGTH = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
 
@@ -176,33 +191,97 @@ def _letter_matrices(group: FuchsianGroup) -> np.ndarray:
     return np.array(mats)
 
 
-def _proper_divisors(n: int) -> List[int]:
-    return [d for d in range(1, n) if n % d == 0]
+def _frontiers(group: FuchsianGroup, max_len: int
+               ) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Breadth-first search: (n, codes, inv, mats) for n = 1..max_len.
 
-
-def _classify_frontier(words: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Per-class |trace| for the primitive cyclic word classes at one length.
-
-    Takes the full freely-reduced frontier at word length n, keeps the
-    cyclically reduced words, drops identity words (relators) and
-    proper powers, aborts on any elliptic non-identity word, and
-    returns one |trace| per distinct cyclic-rotation class.
+    One item holds every freely reduced word of length n.  codes packs
+    a word w_1..w_n as sum w_i 16^(n-i), first letter highest; inv packs
+    its inverse word (w_n ^ 1)..(w_1 ^ 1) the same way; mats holds the
+    product of its letter matrices, renormalized to determinant 1 when
+    it drifts.  Words of length n are the words of length n - 1
+    extended by each letter in turn, one block per letter, so the order
+    is fixed.
     """
-    n = words.shape[1]
-    if n >= 2:
-        cyc = words[:, 0] != (words[:, -1] ^ 1)
-        words = words[cyc]
-        mats = mats[cyc]
-    if words.shape[0] == 0:
-        return np.empty(0)
-    traces = mats[:, 0, 0] + mats[:, 1, 1]
-    abs_tr = np.abs(traces)
-    low = abs_tr <= 2.0 + _TRACE_TOL
+    letters = _letter_matrices(group)
+    codes = np.arange(letters.shape[0], dtype=np.int64)
+    inv = codes ^ 1
+    mats = letters.copy()
+    yield 1, codes, inv, mats
+    for n in range(2, max_len + 1):
+        last = codes & 15
+        top = 4 * (n - 1)
+        blocks_c, blocks_i, blocks_m = [], [], []
+        for letter in range(letters.shape[0]):
+            mask = last != (letter ^ 1)
+            blocks_c.append((codes[mask] << 4) | letter)
+            blocks_i.append(inv[mask] | ((letter ^ 1) << top))
+            # np.compress gathers the same rows as mats[mask], 3x faster
+            blocks_m.append(np.compress(mask, mats, axis=0) @ letters[letter])
+        codes = np.concatenate(blocks_c)
+        inv = np.concatenate(blocks_i)
+        mats = np.concatenate(blocks_m)
+        del blocks_c, blocks_i, blocks_m
+        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+        # x / 1.0 == x exactly, so only the drifted matrices change; one
+        # full division is 3x faster than a masked read-modify-write
+        mats /= np.where(np.abs(det - 1.0) > 1e-13, np.sqrt(det), 1.0)[
+            :, None, None]
+        yield n, codes, inv, mats
+
+
+def _cyclically_reduced(codes: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the length-n words whose last letter does not cancel the first."""
+    return (codes >> 4 * (n - 1)) != ((codes & 15) ^ 1)
+
+
+def _canonical_codes(codes: np.ndarray, inv: np.ndarray,
+                     n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Class key and proper-power flag of each length-n word.
+
+    Rotating a word left by r letters is rot_r(c) = ((c << 4r) & (16^n
+    - 1)) | (c >> 4(n - r)) on its code.  The key is the least code
+    among the rotations of the word and of its inverse word, so a class
+    and its inverse class share one key.  A word is a proper power when
+    a rotation by a proper divisor of n leaves it unchanged.
+    """
+    full = (1 << 4 * n) - 1
+    canonical = np.minimum(codes, inv)
+    periodic = np.zeros(codes.shape, dtype=bool)
+    rot, wrap = np.empty_like(codes), np.empty_like(codes)
+    for r in range(1, n):
+        for c in (codes, inv):
+            np.left_shift(c, 4 * r, out=rot)
+            rot &= full
+            rot |= np.right_shift(c, 4 * (n - r), out=wrap)
+            np.minimum(canonical, rot, out=canonical)
+            if c is codes and n % r == 0:
+                periodic |= rot == codes
+    return canonical, periodic
+
+
+def _classify_frontier(n: int, codes: np.ndarray, inv: np.ndarray,
+                       mats: np.ndarray) -> np.ndarray:
+    """Per-class |trace| for the primitive word classes at length n.
+
+    Takes one item of _frontiers, keeps the cyclically reduced words,
+    drops identity words (relators) and proper powers, aborts on any
+    elliptic non-identity word, and returns one |trace| per class of
+    words up to rotation and inversion: that of the class's first word
+    in frontier order.  A class and its inverse class are merged, so
+    both orientations carry bit-identical traces (a word and its
+    inverse can otherwise differ by float noise and split across a
+    cluster boundary); each merged class stands for exactly 2 oriented
+    geodesics, since no element of a surface group is conjugate to its
+    own inverse.
+    """
+    abs_tr = np.abs(mats[:, 0, 0] + mats[:, 1, 1])
+    keep = _cyclically_reduced(codes, n)
+    low = keep & (abs_tr <= 2.0 + _TRACE_TOL)
     if np.any(low):
-        eye = np.eye(2)
         bad_mats = mats[low]
         signs = np.sign(bad_mats[:, 0, 0])[:, None, None]
-        dev = np.max(np.abs(bad_mats - signs * eye), axis=(1, 2))
+        dev = np.max(np.abs(bad_mats - signs * np.eye(2)), axis=(1, 2))
         if np.any(dev > 1e-6):
             i = int(np.argmax(dev))
             raise RuntimeError(
@@ -210,38 +289,10 @@ def _classify_frontier(words: np.ndarray, mats: np.ndarray) -> np.ndarray:
                 f"(|trace|={abs_tr[low][i]}, deviation from identity "
                 f"{dev[i]}): the group is not cocompact torsion-free "
                 "or the matrices have drifted")
-        words = words[~low]
-        abs_tr = abs_tr[~low]
-    if words.shape[0] == 0:
-        return np.empty(0)
-
-    weights = (1 << (4 * np.arange(n - 1, -1, -1))).astype(np.int64)
-    code0 = words.astype(np.int64) @ weights
-    canonical = code0.copy()
-    periodic = np.zeros(words.shape[0], dtype=bool)
-    divisors = set(_proper_divisors(n))
-    for r in range(1, n):
-        rotated = np.concatenate([words[:, r:], words[:, :r]], axis=1)
-        code_r = rotated.astype(np.int64) @ weights
-        np.minimum(canonical, code_r, out=canonical)
-        if r in divisors:
-            periodic |= code_r == code0
-    # merge each class with its inverse class so that both orientations
-    # carry bit-identical traces (a word and its inverse can otherwise
-    # differ by float noise and split across a cluster boundary); each
-    # unoriented class stands for exactly 2 oriented geodesics, since
-    # no element of a surface group is conjugate to its own inverse
-    inv_words = words[:, ::-1] ^ 1
-    inv_canonical = inv_words.astype(np.int64) @ weights
-    for r in range(1, n):
-        rotated = np.concatenate([inv_words[:, r:], inv_words[:, :r]], axis=1)
-        np.minimum(inv_canonical, rotated.astype(np.int64) @ weights,
-                   out=inv_canonical)
-    np.minimum(canonical, inv_canonical, out=canonical)
-    keep = ~periodic
-    canonical = canonical[keep]
-    abs_tr = abs_tr[keep]
-    _, first = np.unique(canonical, return_index=True)
+        keep &= ~low
+    canonical, periodic = _canonical_codes(codes[keep], inv[keep], n)
+    abs_tr = abs_tr[keep][~periodic]
+    _, first = np.unique(canonical[~periodic], return_index=True)
     return abs_tr[np.sort(first)]
 
 
@@ -250,37 +301,31 @@ def enumerate_spectrum(group: FuchsianGroup,
     """Breadth-first word enumeration up to max_word_len, classified.
 
     The result is deterministic: the same group and bound give the same
-    spectrum on every run.
+    spectrum on every run.  Raises ValueError, before anything is
+    allocated, when the estimated peak memory (_PEAK_BYTES_PER_WORD per
+    word of length max_word_len) exceeds the machine's physical memory.
     """
     if max_word_len < 1:
         raise ValueError(f"max_word_len must be >= 1, got {max_word_len}")
     if max_word_len > _MAX_WORD_LEN:
         raise ValueError(f"max_word_len is capped at {_MAX_WORD_LEN}")
+    n_letters = 2 * len(group.generators)
+    if n_letters > 16:
+        raise ValueError("word codes hold at most 16 letters, i.e. 8 "
+                         f"generators; {group.label!r} has "
+                         f"{len(group.generators)}")
+    words = n_letters * (n_letters - 1) ** (max_word_len - 1)
+    need = words * _PEAK_BYTES_PER_WORD
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"max_word_len={max_word_len} would need about "
+            f"{need / 2**30:,.1f} GiB at its peak ({words} words of length "
+            f"{max_word_len}), more than the {have / 2**30:,.1f} GiB of "
+            "physical memory")
 
-    letters = _letter_matrices(group)
-    n_letters = letters.shape[0]
-
-    words = np.arange(n_letters, dtype=np.int8)[:, None]
-    mats = letters.copy()
-    lengths_per_n = []
-    for n in range(1, max_word_len + 1):
-        if n > 1:
-            blocks_w = []
-            blocks_m = []
-            for letter in range(n_letters):
-                mask = words[:, -1] != (letter ^ 1)
-                sub_w = words[mask]
-                col = np.full((sub_w.shape[0], 1), letter, dtype=np.int8)
-                blocks_w.append(np.concatenate([sub_w, col], axis=1))
-                blocks_m.append(mats[mask] @ letters[letter])
-            words = np.concatenate(blocks_w, axis=0)
-            mats = np.concatenate(blocks_m, axis=0)
-            det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-            drift = np.abs(det - 1.0) > 1e-13
-            if np.any(drift):
-                mats[drift] /= np.sqrt(det[drift])[:, None, None]
-        abs_tr = _classify_frontier(words, mats)
-        lengths_per_n.append(2.0 * np.arccosh(abs_tr / 2.0))
+    lengths_per_n = [2.0 * np.arccosh(_classify_frontier(*frontier) / 2.0)
+                     for frontier in _frontiers(group, max_word_len)]
 
     horizon = float(np.min(lengths_per_n[-1])) if lengths_per_n[-1].size else 0.0
     all_lengths = np.sort(np.concatenate(lengths_per_n))

@@ -18,7 +18,8 @@ from selbergfe.formal import (canonicalize, derive_base_zeta_fe,
 from selbergfe.geodesics import (BOLZA_LENGTH, bolza_group,
                                  enumerate_spectrum, euler_zeta,
                                  geodesic_count, load_spectrum, pgt_table,
-                                 save_spectrum, selberg_Z, _letter_matrices)
+                                 save_spectrum, selberg_Z, _cyclically_reduced,
+                                 _frontiers)
 from selbergfe.laurent import LaurentPoly, binom_power, eval_at_one
 from selbergfe.special import (SpecialEvaluator, check_fe_integral,
                                check_ladder, check_ode, check_reduction,
@@ -137,20 +138,9 @@ def test_criterion_08_bolza_pipeline(bolza, pipeline8):
     ok = all(abs(abs(g.trace()) - expected) < 1e-12 for g in bolza.generators)
 
     # exhaustive search over cyclically reduced length-8 words for a relator
-    letters = _letter_matrices(bolza)
-    words = np.arange(8, dtype=np.int8)[:, None]
-    mats = letters.copy()
-    for _ in range(7):
-        bw, bm = [], []
-        for letter in range(8):
-            mask = words[:, -1] != (letter ^ 1)
-            sub = words[mask]
-            bw.append(np.concatenate(
-                [sub, np.full((sub.shape[0], 1), letter, np.int8)], axis=1))
-            bm.append(mats[mask] @ letters[letter])
-        words, mats = np.concatenate(bw), np.concatenate(bm)
-    cyc = words[:, 0] != (words[:, -1] ^ 1)
-    m = mats[cyc]
+    for n, codes, _, mats in _frontiers(bolza, 8):
+        pass
+    m = mats[_cyclically_reduced(codes, n)]
     dev = np.max(np.abs(m - np.sign(m[:, 0, 0])[:, None, None] * np.eye(2)),
                  axis=(1, 2))
     ok = ok and bool((dev < 1e-9).any())

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from selbergfe import geodesics
 from selbergfe.cli import RunConfig, load_config, main
 
 
@@ -197,6 +198,28 @@ def test_zeta_eval_domain_error(capsys, tmp_path):
     run(capsys, "spectrum", "bolza", "--max-word-len", "2", "--out", spath)
     code, _, err = run(capsys, "zeta", "eval", "--spectrum", spath, "--s", "0.5")
     assert code == 2
+
+
+def test_spectrum_bolza_golden_output(capsys, tmp_path):
+    spath = str(tmp_path / "sp.txt")
+    code, out, err = run(capsys, "spectrum", "bolza",
+                         "--max-word-len", "6", "--out", spath)
+    assert (code, err) == (0, "")
+    assert out == (f"wrote 466 length entries (23636 classes) to {spath}\n"
+                   "systole = 3.0571418389619871e+00\n"
+                   "horizon = 3.0571418389619871e+00\n")
+
+
+def test_spectrum_bolza_beyond_memory_exit_2(capsys, tmp_path, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the search started")
+    monkeypatch.setattr(geodesics, "_frontiers", no_search)
+    spath = tmp_path / "sp.txt"
+    code, out, err = run(capsys, "spectrum", "bolza",
+                         "--max-word-len", "15", "--out", str(spath))
+    assert (code, out) == (2, "")
+    assert "GiB of physical memory" in err
+    assert not spath.exists()
 
 
 def test_usage_error_exit_2(capsys):

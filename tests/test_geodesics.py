@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import hashlib
 import math
 import os
 import re
@@ -6,13 +8,17 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from selbergfe import geodesics
 from selbergfe.geodesics import (BOLZA_LENGTH, FuchsianGroup, LengthSpectrum,
                                  Mat2, SpectrumFormatError, bolza_group,
                                  enumerate_spectrum, euler_zeta,
                                  geodesic_count, load_spectrum, pgt_table,
                                  save_spectrum, selberg_Z, zeta_motive_numeric,
-                                 _letter_matrices)
+                                 _canonical_codes, _cyclically_reduced,
+                                 _frontiers, _letter_matrices)
 from selbergfe.laurent import LaurentPoly
 from selbergfe.special import DomainError
 
@@ -53,25 +59,66 @@ def test_non_hyperbolic_generator_rejected():
 def test_relator_exists_at_length_8(bolza):
     """Exhaustive search over cyclically reduced length-8 words finds
     exactly one relator orbit evaluating to +-identity."""
-    letters = _letter_matrices(bolza)
-    words = np.arange(8, dtype=np.int8)[:, None]
-    mats = letters.copy()
-    for n in range(2, 9):
-        bw, bm = [], []
-        for letter in range(8):
-            mask = words[:, -1] != (letter ^ 1)
-            sub = words[mask]
-            bw.append(np.concatenate(
-                [sub, np.full((sub.shape[0], 1), letter, np.int8)], axis=1))
-            bm.append(mats[mask] @ letters[letter])
-        words, mats = np.concatenate(bw), np.concatenate(bm)
-    cyc = words[:, 0] != (words[:, -1] ^ 1)
-    mats = mats[cyc]
+    for n, codes, _, mats in _frontiers(bolza, 8):
+        pass
+    mats = mats[_cyclically_reduced(codes, n)]
     signs = np.sign(mats[:, 0, 0])[:, None, None]
     dev = np.max(np.abs(mats - signs * np.eye(2)), axis=(1, 2))
     hits = dev < 1e-9
     # one relator orbit: 8 rotations x 2 orientations
     assert hits.sum() == 16
+
+
+def _code(word):
+    """The packed code of a word: 4 bits a letter, first letter highest."""
+    return sum(a << 4 * i for i, a in enumerate(reversed(word)))
+
+
+def _inverse(word):
+    return tuple(a ^ 1 for a in reversed(word))
+
+
+def test_frontier_codes(bolza):
+    """Up to length 4 every freely reduced word appears once, with the
+    code of its inverse word and the product of its letter matrices."""
+    letters = _letter_matrices(bolza)
+    for n, codes, inv, mats in _frontiers(bolza, 4):
+        words = [tuple((c >> 4 * (n - 1 - i)) & 15 for i in range(n))
+                 for c in codes.tolist()]
+        assert len(set(words)) == len(words) == 8 * 7 ** (n - 1)
+        for word, c, ic, m in zip(words, codes.tolist(), inv.tolist(), mats):
+            assert all(b != a ^ 1 for a, b in zip(word, word[1:]))
+            assert c == _code(word) and ic == _code(_inverse(word))
+            product = functools.reduce(np.matmul, [letters[a] for a in word])
+            assert np.abs(m - product).max() <= 1e-10 * np.abs(product).max()
+
+
+@st.composite
+def reduced_words(draw):
+    """Freely reduced words of 1..15 letters, some of them proper powers."""
+    n = draw(st.integers(1, 15))
+    period = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    base = []
+    for i in range(period):
+        banned = {base[-1] ^ 1} if base else set()
+        if base and i == period - 1 and period < n:
+            banned.add(base[0] ^ 1)  # so that the repeats join reduced
+        base.append(draw(st.sampled_from(
+            [a for a in range(8) if a not in banned])))
+    return tuple(base) * (n // period)
+
+
+@given(reduced_words())
+@settings(max_examples=400)
+def test_canonical_codes_against_tuple_rotations(word):
+    n = len(word)
+    rotations = [w[r:] + w[:r] for w in (word, _inverse(word))
+                 for r in range(n)]
+    canonical, periodic = _canonical_codes(
+        np.array([_code(word)], dtype=np.int64),
+        np.array([_code(_inverse(word))], dtype=np.int64), n)
+    assert canonical.tolist() == [min(_code(w) for w in rotations)]
+    assert periodic.tolist() == [word in rotations[1:n]]
 
 
 def test_spectrum_word_length_one(bolza):
@@ -92,6 +139,42 @@ def test_spectrum_monotone_and_prefix_stable(bolza, spectrum5):
 def test_spectrum_rejects_bad_args(bolza):
     with pytest.raises(ValueError):
         enumerate_spectrum(bolza, 0)
+    with pytest.raises(ValueError, match="capped at 15"):
+        enumerate_spectrum(bolza, 16)
+    nine = FuchsianGroup(bolza.generators * 2 + bolza.generators[:1], "nine")
+    with pytest.raises(ValueError, match="at most 16 letters"):
+        enumerate_spectrum(nine, 1)
+
+
+def test_spectrum_memory_checked_before_allocating(bolza, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the search started")
+    monkeypatch.setattr(geodesics, "_frontiers", no_search)
+    with pytest.raises(ValueError, match=r"about [\d,.]+ GiB at its peak "
+                       r"\(5425784582792 words of length 15\), more than "
+                       r"the [\d,.]+ GiB of physical memory"):
+        enumerate_spectrum(bolza, 15)
+
+
+# SHA-256 of the file save_spectrum writes for the Bolza spectrum at
+# L = 1..6.  They pin the enumeration's output byte for byte, and change
+# on purpose only when the classification of words changes.
+SPECTRUM_SHA256 = {
+    1: "1962cdaf940340da9bee9a1e5d1caa980ab19952ec7a4f43b7cf0037a697b7a6",
+    2: "a01c3132a0bceb983cb338285d33165b5301612ad69eb0bafcc60d0f66f229c3",
+    3: "f78515df3b603051c8f54e13b4a1f47b8ae8dd97ff1d0b394653e5c1771ae8d9",
+    4: "1c38b3a807b49cc33de8541783ef17e6ab841039c22e08cde3b16f5982b8c6e4",
+    5: "0027f36db1a6cd281881687eff26a5e5c1f9a0f2ba1651bab6fded157fe0e253",
+    6: "cda892d10954233d87f4962d0c593c8ff9f339126b04d85081f175940e9c556f",
+}
+
+
+@pytest.mark.parametrize("max_word_len", sorted(SPECTRUM_SHA256))
+def test_spectrum_file_golden(bolza, tmp_path, max_word_len):
+    path = tmp_path / "sp.txt"
+    save_spectrum(enumerate_spectrum(bolza, max_word_len), str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == SPECTRUM_SHA256[max_word_len]
 
 
 def test_spectrum_multiplicities_even(spectrum5):
