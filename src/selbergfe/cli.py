@@ -1,7 +1,8 @@
 """Command-line front end tying all the pieces together.
 
 Exit codes: 0 = success / identity verified, 1 = verification or
-identity check failed, 2 = usage or domain error.  All numeric output
+identity check failed, 2 = usage, domain or numeric error (overflow,
+an enumeration that cannot go on), reported on one line.  All numeric output
 uses 17 significant decimal digits; tabular output is CSV, to stdout
 or to --out.
 """
@@ -26,8 +27,9 @@ _CONFIG_KEYS = {
 @dataclass(frozen=True)
 class RunConfig:
     genus: int = 2
-    euler_maclaurin_cutoff: int = 24
-    bernoulli_terms: int = 12
+    # the evaluator's own defaults: SpecialEvaluator is their one source
+    euler_maclaurin_cutoff: int = special.SpecialEvaluator.euler_maclaurin_cutoff
+    bernoulli_terms: int = special.SpecialEvaluator.bernoulli_terms
 
     def __post_init__(self):
         if self.genus < 2:
@@ -341,7 +343,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = args.func(args, cfg, out)
         out.flush()
         return code
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:
+        # a domain, usage or numeric failure: one line, never a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,22 +1,28 @@
 """Numerical evaluation of multiple gamma / sine functions.
 
-Everything is built on one kernel: the Hurwitz zeta function and its
-analytic w-derivative, evaluated by Euler-Maclaurin summation.  The
-order-r Hurwitz zeta collapses to order 1 through the exact expansion
-of the simplex-counting binomial in powers of (n + s), the log of the
-order-r gamma function is the w-derivative of that at w = 0, and the
-double sine function is a quotient of double gammas extended by its
-shift ladder.  The Selberg functional-equation integral factor is done
-by direct quadrature and cross-checks the sine-product form.
+Everything is built on one kernel, _zeta_r: the order-r Hurwitz zeta
+sum_n binom(n+r-1, r-1) (n+s)^-w or its analytic w-derivative, by
+Euler-Maclaurin summation in one pass.  The partial sum carries the
+exact integer simplex-counting weights; the tail expands the binomial
+in powers of (n + s), with coefficients c_j(s) from an exact table
+built once per r, and sums the order-1 tails of zeta_H(w - j, s).
+Arithmetic is float for real w and complex for complex w.  At a
+nonpositive integer w the value is the exact Bernoulli polynomial one.
+hurwitz_zeta and hurwitz_zeta_dw are the kernel at r = 1, the log of
+the order-r gamma function is its w-derivative at w = 0, and the double
+sine function is a quotient of double gammas extended by its shift
+ladder.  The Selberg functional-equation integral factor is done by
+direct quadrature and cross-checks the sine-product form.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import add, mul
 from typing import List, Tuple, Union
 
 from scipy.integrate import quad
@@ -67,121 +73,52 @@ class SurfaceParams:
 DEFAULT_EVALUATOR = SpecialEvaluator()
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_even(kmax: int) -> tuple:
-    """Exact B_2, B_4, ..., B_{2*kmax} as floats, via the defining recurrence."""
-    n = 2 * kmax
-    b: List[Fraction] = [Fraction(0)] * (n + 1)
-    b[0] = Fraction(1)
-    if n >= 1:
-        b[1] = Fraction(-1, 2)
-    for m in range(2, n + 1):
+_EPS = sys.float_info.epsilon
+# zeta_r(-n, s) is summed exactly for n up to this; at the cap the
+# Bernoulli numbers and the sum take about 0.1 s, the numbers once
+_EXACT_MAX_N = 400
+# exact B_0, B_1, ..., grown on demand by _bernoulli and never rebuilt
+_BERNOULLI: List[Fraction] = [Fraction(1), Fraction(-1, 2)]
+
+
+def _bernoulli(n: int) -> List[Fraction]:
+    """Exact B_0, ..., B_n (at least), B_1 = -1/2, via the recurrence
+    sum_{j<=m} C(m+1, j) B_j = 0.  Odd B_m vanish for m >= 3."""
+    b = _BERNOULLI
+    for m in range(len(b), n + 1):
         acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * b[j]
-        b[m] = -acc / (m + 1)
-    return tuple(float(b[2 * k]) for k in range(1, kmax + 1))
+        if m % 2 == 0:
+            for j in range(0, m, 2):
+                acc += math.comb(m + 1, j) * b[j]
+            acc += (m + 1) * b[1]
+        b.append(-acc / (m + 1))
+    return b
 
 
-def _as_number(z: complex, want_complex: bool) -> Number:
-    return z if want_complex else z.real
+@lru_cache(maxsize=None)
+def _em_weights(B: int) -> Tuple[Fraction, ...]:
+    """B_2k / (2k)! for k = 1..B+1: the Euler-Maclaurin correction weights,
+    the last one for the first omitted term."""
+    b = _bernoulli(2 * B + 2)
+    return tuple(b[2 * k] / math.factorial(2 * k) for k in range(1, B + 2))
 
 
-def hurwitz_zeta(w: Number, s: float,
-                 ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> SpecialValue:
-    """Analytic continuation of sum_{n>=0} (n+s)^-w by Euler-Maclaurin.
+@lru_cache(maxsize=None)
+def _em_float_weights(B: int) -> Tuple[float, ...]:
+    """_em_weights(B) rounded to floats."""
+    return tuple(float(b) for b in _em_weights(B))
 
-    Partial sum to N-1 plus the (N+s)^{1-w}/(w-1) and (N+s)^{-w}/2 tail
-    terms and bernoulli_terms Bernoulli corrections; the error estimate
-    is the magnitude of the first omitted correction.
+
+@lru_cache(maxsize=None)
+def _simplex_exact(r: int) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Rows a_j with c_j(s) = sum_i a_j[i] s^i exactly, where
+    binom(n+r-1, r-1) = sum_j c_j(s) (n+s)^j.
+
+    The binomial prod_{i<r} (n+i) / (r-1)! is expanded as a polynomial
+    p_t n^t, then shifted by n = (n+s) - s:
+    c_j(s) = sum_{t>=j} p_t C(t, j) (-s)^{t-j}.  Every p_t is positive,
+    so a_j[i] has the sign (-1)^i.
     """
-    if s <= 0:
-        raise DomainError(f"hurwitz_zeta requires s > 0, got s={s}")
-    wc = complex(w)
-    if wc == 1:
-        raise PoleError("hurwitz_zeta has a pole at w = 1")
-    N = ev.euler_maclaurin_cutoff
-    B = ev.bernoulli_terms
-    total = 0j
-    for n in range(N):
-        total += (n + s) ** (-wc)
-    x = N + s
-    logx = math.log(x)
-    xw = cmath.exp(-wc * logx)          # x^-w
-    total += x * xw / (wc - 1)          # x^{1-w}/(w-1)
-    total += xw / 2
-    bern = _bernoulli_even(B + 1)
-    # rising product w(w+1)...(w+2k-2), advanced two factors per term
-    poch = wc
-    fact = 2.0
-    order = 1
-    xpow = xw / x                       # x^{-w-1}
-    term = 0j
-    for k in range(1, B + 1):
-        term = (bern[k - 1] / fact) * poch * xpow
-        total += term
-        poch *= (wc + order) * (wc + order + 1)
-        order += 2
-        fact *= (order) * (order + 1)
-        xpow /= x * x
-    next_term = (bern[B] / fact) * poch * xpow
-    err = abs(next_term) + abs(term) * 1e-16
-    return SpecialValue(_as_number(total, isinstance(w, complex)), err)
-
-
-def hurwitz_zeta_dw(w: Number, s: float,
-                    ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> SpecialValue:
-    """Termwise analytic w-derivative of the Euler-Maclaurin expression.
-
-    Never a finite difference: each term of hurwitz_zeta is
-    differentiated in closed form, including the Pochhammer products.
-    """
-    if s <= 0:
-        raise DomainError(f"hurwitz_zeta_dw requires s > 0, got s={s}")
-    wc = complex(w)
-    if wc == 1:
-        raise PoleError("hurwitz_zeta has a pole at w = 1")
-    N = ev.euler_maclaurin_cutoff
-    B = ev.bernoulli_terms
-    total = 0j
-    for n in range(N):
-        a = n + s
-        total += -math.log(a) * a ** (-wc)
-    x = N + s
-    logx = math.log(x)
-    xw = cmath.exp(-wc * logx)
-    # d/dw [x^{1-w}/(w-1)] = x^{1-w} (-logx/(w-1) - 1/(w-1)^2)
-    total += x * xw * (-logx / (wc - 1) - 1 / (wc - 1) ** 2)
-    total += -logx * xw / 2
-    bern = _bernoulli_even(B + 1)
-    # p = w(w+1)...(w+2k-2) and dp = p' maintained by the product rule
-    p = wc
-    dp = 1 + 0j
-    fact = 2.0
-    order = 1
-    xpow = xw / x
-    term = 0j
-    for k in range(1, B + 1):
-        term = (bern[k - 1] / fact) * (dp - p * logx) * xpow
-        total += term
-        for _ in range(2):
-            dp = dp * (wc + order) + p
-            p = p * (wc + order)
-            order += 1
-        fact *= order * (order + 1)
-        xpow /= x * x
-    next_term = (bern[B] / fact) * (dp - p * logx) * xpow
-    err = abs(next_term) + abs(term) * 1e-16
-    return SpecialValue(_as_number(total, isinstance(w, complex)), err)
-
-
-def _simplex_coeffs(r: int, s: float) -> List[float]:
-    """Coefficients c_j(s) with binom(n+r-1, r-1) = sum_j c_j(s) (n+s)^j.
-
-    The binomial is expanded exactly (rational coefficients) as a
-    polynomial in n, then shifted by n = (n+s) - s.
-    """
-    # polynomial in n: prod_{i=1}^{r-1} (n+i) / (r-1)!
     poly = [Fraction(1)]
     for i in range(1, r):
         shifted = [Fraction(0)] + poly            # n * poly
@@ -189,24 +126,218 @@ def _simplex_coeffs(r: int, s: float) -> List[float]:
             shifted[t] += i * c
         poly = shifted
     fact = math.factorial(r - 1)
-    coeffs = [c / fact for c in poly]
-    # substitute n = m - s: c_j = sum_{t>=j} coeffs[t] C(t,j) (-s)^{t-j}
+    return tuple(tuple(poly[j + i] * math.comb(j + i, j) * (-1) ** i / fact
+                       for i in range(r - j))
+                 for j in range(r))
+
+
+@lru_cache(maxsize=None)
+def _simplex_table(r: int) -> Tuple[Tuple[float, ...], ...]:
+    """_simplex_exact(r) rounded to floats, highest power first."""
+    return tuple(tuple(float(a) for a in reversed(row))
+                 for row in _simplex_exact(r))
+
+
+def _simplex_coeffs(r: int, s: float) -> List[float]:
+    """Coefficients c_j(s) with binom(n+r-1, r-1) = sum_j c_j(s) (n+s)^j,
+    by Horner on the cached table.  Since a_j[i] has the sign (-1)^i,
+    _simplex_coeffs(r, -s) gives sum_i |a_j[i]| s^i, the scale of the
+    rounding in c_j(s) for s > 0."""
     out = []
-    for j in range(r):
+    for row in _simplex_table(r):
         acc = 0.0
-        for t in range(j, r):
-            acc += float(coeffs[t]) * math.comb(t, j) * (-s) ** (t - j)
+        for a in row:
+            acc = acc * s + a
         out.append(acc)
     return out
+
+
+@lru_cache(maxsize=None)
+def _simplex_weights(r: int, N: int) -> Tuple[float, ...]:
+    """binom(n+r-1, r-1) for n < N: the partial-sum weights."""
+    return tuple(float(math.comb(n + r - 1, r - 1)) for n in range(N))
+
+
+def _tail_coeffs(u, weights, d: int) -> Tuple[list, list]:
+    """b_k P_k(u) and, for d = 1, b_k P_k'(u) for the weights b_k, where
+    P_k(u) = u (u+1) ... (u+2k-2) has 2k-1 factors and P_k' is its
+    u-derivative, kept by the product rule."""
+    p, dp, o = u, 1, 1
+    P, D = [], []
+    for b in weights:
+        P.append(b * p)
+        f = u + o
+        if d:
+            D.append(b * dp)
+            dp = (dp * f + p) * (f + 1) + p * f
+        p = p * f * (f + 1)
+        o += 2
+    return P, D
+
+
+@lru_cache(maxsize=64)
+def _tail_table(n: int, r: int, B: int) -> tuple:
+    """_tail_coeffs at the integers u = n - j, j < r, in exact arithmetic,
+    rounded to floats once."""
+    out = []
+    for j in range(r):
+        P, D = _tail_coeffs(n - j, _em_weights(B), 1)
+        out.append(([float(c) for c in P], [float(c) for c in D]))
+    return tuple(out)
+
+
+def _zeta_r_exact(r: int, n: int, s: float) -> Tuple[float, float]:
+    """zeta_r(-n, s) = -sum_j c_j(s) B_{n+j+1}(s) / (n+j+1), summed in
+    exact rational arithmetic at the float s and rounded once."""
+    if n > _EXACT_MAX_N:
+        raise DomainError(f"at integer w the order-r zeta is evaluated for "
+                          f"w >= -{_EXACT_MAX_N}, got w=-{n}")
+    S = Fraction(s)
+    b = _bernoulli(n + r)
+    total = Fraction(0)
+    for j, row in enumerate(_simplex_exact(r)):
+        c = sum(a * S ** i for i, a in enumerate(row))
+        m = n + j + 1
+        bm = Fraction(0)                 # B_m(S) = sum_k C(m, k) B_k S^(m-k)
+        for k in range(m + 1):
+            bm = bm * S + math.comb(m, k) * b[k]
+        total -= c * bm / m
+    v = float(total)
+    return v, 0.5 * math.ulp(v)
+
+
+def _zeta_r(r: int, w: Number, s: float, ev: SpecialEvaluator,
+            d: int) -> SpecialValue:
+    """The order-r Hurwitz zeta sum_n binom(n+r-1, r-1) (n+s)^-w (d = 0)
+    or its w-derivative (d = 1): the one Euler-Maclaurin kernel.
+
+    Partial sum over n < N with the exact integer weights, times
+    -log(n+s) for the derivative; then the tail sum_j c_j(s) T_j, where
+    T_j is the Euler-Maclaurin tail of zeta_H^(d)(w-j, s) at x = N+s:
+
+        T_j = x^(1-w+j) [A_j]                 (d = 0)
+        T_j = x^(1-w+j) [A'_j - log x A_j]    (d = 1)
+        A_j = 1/(u-1) + 1/(2x) + sum_k b_k P_k(u) x^-2k,    u = w - j,
+
+    with A'_j its u-derivative and P_k the rising products of
+    _tail_coeffs.  Arithmetic is float for real w and complex for complex
+    w.  At a nonpositive integer w the value is the exact Bernoulli one.
+    The estimate is the first omitted correction plus the rounding:
+    eps times the running partial sums, and a few ulps per term, where
+    rounding n+s or x moves x^-w by |w| log x ulps.  Raises DomainError
+    where the value or the estimate is not a finite float, and where
+    Re(w - j) + 2B + 1 <= 0 for some j: there the remainder of B
+    Bernoulli terms diverges.
+    """
+    wc = complex(w)
+    integral = wc.imag == 0 and wc.real.is_integer()
+    try:
+        if d == 0 and integral and wc.real <= 0:
+            v, err = _zeta_r_exact(r, -int(wc.real), s)
+            return SpecialValue(complex(v) if isinstance(w, complex) else v, err)
+        N, B = ev.euler_maclaurin_cutoff, ev.bernoulli_terms
+        if wc.real <= r - 2 * B - 2:
+            raise DomainError(f"Euler-Maclaurin with {B} Bernoulli terms needs "
+                              f"Re(w) > {r - 2 * B - 2} at order {r}, got w={w}")
+        mw = -w
+        weights = _simplex_weights(r, N)
+        points = list(map(add, range(N), repeat(s, N)))
+        powers = (weights if w == 0
+                  else list(map(mul, weights, map(pow, points, repeat(mw, N)))))
+        if d:
+            # log(n+s) (n+s)^-w: the derivative is minus their sum, and the
+            # tail brackets below are negated too; |t_n| + |p_n| bounds
+            # the rounding scale of such a term
+            terms = list(map(mul, map(math.log, points), powers))
+            scale_terms = sum(map(abs, terms)) + sum(map(abs, powers))
+        else:
+            terms = powers
+            scale_terms = sum(map(abs, terms))
+        sums = list(accumulate(terms))
+        total = sums[-1]
+        running = sum(map(abs, sums))
+        x = N + s
+        logx = math.log(x)
+        ypows = list(accumulate(repeat(1.0 / (x * x), B + 1), mul))   # x^-2k
+        y_omit = ypows.pop()
+        half = 0.5 / x
+        scale = x ** mw * x                 # x^(1-w+j), advanced by x
+        trunc = scale_tail = 0.0
+        table = (_tail_table(int(wc.real), r, B) if integral
+                 else [_tail_coeffs(w - j, _em_float_weights(B), d)
+                       for j in range(r)])
+        cs = _simplex_coeffs(r, s)
+        for j, cabs in enumerate(_simplex_coeffs(r, -s)):
+            P, D = table[j]
+            q = 1 / (w - j - 1)
+            s0 = sum(map(mul, P, ypows))
+            a = q + half + s0
+            if d:
+                s1 = sum(map(mul, D, ypows))
+                bracket = logx * a + q * q - s1          # negated
+                omitted = (D[B] - logx * P[B]) * y_omit
+                pieces = (logx + 1) * abs(a) + abs(q * q) + abs(s1)
+            else:
+                bracket = a
+                omitted = P[B] * y_omit
+                pieces = abs(q) + half + abs(s0)
+            c_scale = cs[j] * scale
+            total += c_scale * bracket
+            running += abs(total)
+            # Backlund: the remainder is at most |u+2B+1| / (Re u + 2B+1)
+            # times the first omitted term
+            trunc += (abs(c_scale * omitted) * abs(w - j + 2 * B + 1)
+                      / (wc.real - j + 2 * B + 1))
+            scale_tail += cabs * abs(scale) * pieces
+            scale *= x
+        if d:
+            total = -total
+        per_term = 4 + r + abs(w) * (1 + max(logx, -math.log(s)))
+        err = trunc + _EPS * (running + per_term * (scale_terms + scale_tail))
+        finite = math.isfinite(abs(total)) and math.isfinite(err)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(f"the order-{r} zeta at w={w}, s={s} or its error "
+                          "estimate is not a finite float")
+    return SpecialValue(total, err)
+
+
+def hurwitz_zeta(w: Number, s: float,
+                 ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> SpecialValue:
+    """Analytic continuation of sum_{n>=0} (n+s)^-w: the kernel at r = 1.
+
+    Exact, up to one rounding, at w = 0, -1, ..., -400:
+    zeta_H(-n, s) = -B_{n+1}(s) / (n+1).
+    """
+    if s <= 0:
+        raise DomainError(f"hurwitz_zeta requires s > 0, got s={s}")
+    if complex(w) == 1:
+        raise PoleError("hurwitz_zeta has a pole at w = 1")
+    return _zeta_r(1, w, s, ev, 0)
+
+
+def hurwitz_zeta_dw(w: Number, s: float,
+                    ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> SpecialValue:
+    """Analytic w-derivative of the Hurwitz zeta: the kernel at r = 1.
+
+    Never a finite difference: each Euler-Maclaurin term is
+    differentiated in closed form, including the Pochhammer products.
+    """
+    if s <= 0:
+        raise DomainError(f"hurwitz_zeta_dw requires s > 0, got s={s}")
+    if complex(w) == 1:
+        raise PoleError("hurwitz_zeta has a pole at w = 1")
+    return _zeta_r(1, w, s, ev, 1)
 
 
 def multiple_hurwitz_zeta(r: int, w: Number, s: float,
                           ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> SpecialValue:
     """Order-r Hurwitz zeta sum_{n_1..n_r>=0} (n_1+...+n_r+s)^-w.
 
-    Collapsed to order 1: the number of lattice points with coordinate
-    sum n is binom(n+r-1, r-1), re-expanded in powers of (n+s), so the
-    value is sum_j c_j(s) * zeta_H(w-j, s).
+    The number of lattice points with coordinate sum n is
+    binom(n+r-1, r-1), so the kernel sums the order-1 series with those
+    weights; its tail is sum_j c_j(s) zeta_H(w-j, s) past the cutoff.
     """
     if r not in (1, 2, 3, 4):
         raise DomainError(f"order r must be in 1..4, got {r}")
@@ -216,15 +347,7 @@ def multiple_hurwitz_zeta(r: int, w: Number, s: float,
     for j in range(r):
         if wc - j == 1:
             raise PoleError(f"multiple_hurwitz_zeta of order {r} has a pole at w={j + 1}")
-    total = 0j
-    err = 0.0
-    for j, c in enumerate(_simplex_coeffs(r, s)):
-        if c == 0.0:
-            continue
-        part = hurwitz_zeta(wc - j, s, ev)
-        total += c * complex(part.value)
-        err += abs(c) * part.abs_err_estimate
-    return SpecialValue(_as_number(total, isinstance(w, complex)), err)
+    return _zeta_r(r, w, s, ev, 0)
 
 
 def log_gamma_r(r: int, s: float,
@@ -234,15 +357,7 @@ def log_gamma_r(r: int, s: float,
         raise DomainError(f"order r must be in 1..4, got {r}")
     if s <= 0:
         raise DomainError(f"log_gamma_r requires s > 0, got s={s}")
-    total = 0.0
-    err = 0.0
-    for j, c in enumerate(_simplex_coeffs(r, s)):
-        if c == 0.0:
-            continue
-        part = hurwitz_zeta_dw(float(-j), s, ev)
-        total += c * part.value
-        err += abs(c) * part.abs_err_estimate
-    return SpecialValue(total, err)
+    return _zeta_r(r, 0.0, s, ev, 1)
 
 
 def gamma_r(r: int, s: float,
@@ -258,7 +373,6 @@ def _is_integer(s: float, tol: float = 1e-12) -> bool:
 
 # the ladder loop takes one step per unit of |s|: the cap bounds its run time
 _S2_MAX_LADDER = 100_000
-_EPS = sys.float_info.epsilon
 _FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
 
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from selbergfe import geodesics
+from selbergfe import geodesics, special
 from selbergfe.cli import RunConfig, load_config, main
 
 
@@ -138,6 +138,39 @@ def test_special_eval_fe_factor_domain_error(capsys):
     assert "error" in err
 
 
+def test_special_eval_zr_exact_at_negative_integer(capsys):
+    """zeta_H(-20, 1) = -B_21 / 21 = 0 and zeta_H(-400, 2) = -1, exactly:
+    the Euler-Maclaurin partial sum and tail would cancel there."""
+    for w, s, value in (("-20", "1", "0.0000000000000000e+00"),
+                        ("-400", "2", "-1.0000000000000000e+00")):
+        code, out, _ = run(capsys, "special", "eval", "--fn", "zr", "--r", "1",
+                           f"--w={w}", "--s", s)
+        assert code == 0
+        assert out.splitlines()[0] == f"value = {value}+0.0000000000000000e+00j"
+
+
+@pytest.mark.parametrize("argv", [
+    # (n + s)^400.5 overflows in the kernel
+    ("special", "eval", "--fn", "zr", "--r", "1", "--w=-400.5", "--s", "2"),
+    # (S_2(s) S_2(s+1))^(2-2g) overflows in s_M itself
+    ("--genus", "100000", "special", "eval", "--fn", "sM", "--s", "0.3"),
+])
+def test_special_eval_overflow_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_runtime_error_exit_2(capsys, tmp_path, monkeypatch):
+    def drifted(*args):
+        raise RuntimeError("non-identity word with |trace| <= 2 encountered")
+    monkeypatch.setattr(geodesics, "enumerate_spectrum", drifted)
+    code, out, err = run(capsys, "spectrum", "bolza", "--max-word-len", "2",
+                         "--out", str(tmp_path / "sp.txt"))
+    assert (code, out) == (2, "")
+    assert err == "error: non-identity word with |trace| <= 2 encountered\n"
+
+
 def test_special_eval_zr_needs_w(capsys):
     code, _, err = run(capsys, "special", "eval", "--fn", "zr", "--s", "1.0")
     assert code == 2
@@ -263,6 +296,10 @@ def test_removed_knobs_rejected(capsys, tmp_path, key):
     assert code == 2
     code, _, _ = run(capsys, "--threads", "2", "fe", "derive-base")
     assert code == 2
+
+
+def test_runconfig_defaults_are_the_evaluators():
+    assert RunConfig().evaluator() == special.SpecialEvaluator()
 
 
 def test_runconfig_validation():
