@@ -184,7 +184,10 @@ def reflect_Z(f: LaurentPoly, D: int) -> FormalProduct:
     Each Z_M((D+1-k)-s) becomes, via the symmetric base rule,
     Z_M(s-(D-k)) S_2(s+(k-D))^(2-2g) S_2(s+(k-D)+1)^(2-2g).
     """
-    c = f.coeffs
+    return _reflect_Z(f.coeffs, D)
+
+
+def _reflect_Z(c: Dict[int, int], D: int) -> FormalProduct:
     lower = {4 * (D - k) + _BIGZ: a for k, a in c.items()}
     lower.update((4 * (k - D) + _S2, a) for k, a in c.items())
     return _add(lower, {4 * (k - D + 1) + _S2: a for k, a in c.items()})
@@ -192,7 +195,10 @@ def reflect_Z(f: LaurentPoly, D: int) -> FormalProduct:
 
 def s_motive_factor(f: LaurentPoly) -> FormalProduct:
     """Canonical form of prod_k (S_2(s-k) S_2(s-k+1))^((2-2g) a(k))."""
-    c = f.coeffs
+    return _s_motive_factor(f.coeffs)
+
+
+def _s_motive_factor(c: Dict[int, int]) -> FormalProduct:
     return canonicalize(_add({4 * -k + _S2: a for k, a in c.items()},
                              {4 * (1 - k) + _S2: a for k, a in c.items()}))
 
@@ -275,8 +281,9 @@ def verify_Z_fe(f: LaurentPoly) -> Verdict:
             f"f has no reflection symmetry (kind={auto.kind.value}); "
             "the Z functional equation requires one")
     C, D = auto.C, auto.D
-    lhs = canonicalize(reflect_Z(f, D))
-    rhs = canonicalize((from_motive_Z(f) * s_motive_factor(f)) ** C)
+    c = f.coeffs
+    lhs = canonicalize(_reflect_Z(c, D))
+    rhs = canonicalize((_packed(c, _BIGZ) * _s_motive_factor(c)) ** C)
     res = quotient(lhs, rhs)
     return Verdict(res.is_empty(), lhs, rhs, res)
 

@@ -25,10 +25,12 @@ degree 4-4g.
 A LengthSpectrum is frozen and carries one read-only array view of its
 rows (lengths, multiplicities, cumulative multiplicities), built when it
 is made.  The Euler products and the counts are array arithmetic over
-that view.  Each Euler product's error estimate bounds the truncation
-of the inner product of Z (none for zeta) plus the floating-point
-rounding of its terms, sums and final exp; the spectrum itself is
-finite, which its completeness horizon discloses.
+that view.  Z is summed as log Z(s) = -log zeta(s) minus a power series
+in y = exp(-length (s+1)), one short pass per power over a shrinking
+prefix of the rows.  Each Euler product's error estimate bounds the
+floating-point rounding of its terms, sums and final exp, plus, for Z,
+the truncation of that series; the spectrum itself is finite, which its
+completeness horizon discloses.
 """
 from __future__ import annotations
 
@@ -414,11 +416,11 @@ def load_spectrum(path: str) -> LengthSpectrum:
 
 # -- Euler products ------------------------------------------------------
 
-# Deep enough that no class's leading (n = 0) factor is ever dropped at
-# moderate s; otherwise the ratio selberg_Z(s+1)/selberg_Z(s) loses classes
-# that euler_zeta keeps and the telescoping identity degrades to ~1e-12.
-_INNER_CUTOFF = 1e-45
 _EPS = sys.float_info.epsilon
+# A row of the series in selberg_Z keeps its k-th term while that term's
+# y^k is still above 2^-60 of y, i.e. while (k - 1)(s + 1) length <= this:
+# the tail beyond it is then far below the rounding of the row's first term.
+_SERIES_DEPTH = 60.0 * math.log(2.0)
 
 
 def _log_factors(ell: np.ndarray, p: float, q: np.ndarray,
@@ -436,41 +438,82 @@ def _log_factors(ell: np.ndarray, p: float, q: np.ndarray,
     """
     t = mult * np.log1p(-q)
     log_inv = -float(t.sum())
-    roundings = 5.0 + 0.5 * (19 + (t.size // 128).bit_length())
+    roundings = 5.0 + _sum_roundings(t.size)
     return log_inv, _EPS * (roundings * log_inv - p * float(np.dot(t, ell)))
+
+
+def _sum_roundings(n: int) -> float:
+    """Roundings, in eps / 2 per term, of numpy's pairwise sum of n terms."""
+    return 0.5 * (19 + (n // 128).bit_length())
+
+
+def _log_Z_series(s: float, sp: LengthSpectrum) -> Tuple[float, float, float]:
+    """sum_i m_i sum_{k>=1} y_i^k / (k (1 - r_i^k)), with two error bounds.
+
+    y = exp(-length (s + 1)) and r = exp(-length).  Returns the series,
+    a bound on its truncation and a bound on its rounding.  Pass k sums
+    the k-th terms of the rows with (k - 1)(s + 1) length <= _SERIES_DEPTH,
+    a prefix of the sorted lengths found by one searchsorted.  A row
+    dropped after K terms leaves at most m y^(K+1) / ((K+1)(1 - r)(1 - y)),
+    since 1 - r^k >= 1 - r and 1/k <= 1/(K+1).
+
+    Rounding, as in _log_factors: with x = length (s + 1), y is off by
+    eps x + eps/2 of itself and y^k, made by k - 1 products, by
+    eps k (x + 1); 1 - r^k = -expm1(-k length) is well conditioned
+    (its condition number is at most 1), so it and the divisions and
+    products add an ulp or so each.  A term is therefore off by at most
+    eps (k (x + 2) + 3) of itself.  Every term is positive, so each
+    pass's pairwise sum adds eps / 2 of the pass total per rounding,
+    counted as in _log_factors, and the fsum over passes eps / 2 of the
+    whole.
+    """
+    ell, mult = sp.lengths, sp.mults
+    y = np.exp(ell * -(s + 1.0))
+    one_minus_r = -np.expm1(-ell)
+    yk, n, k = y, ell.size, 1
+    series, trunc, round_k = [], 0.0, 0.0
+    while n:
+        gap = one_minus_r if k == 1 else -np.expm1(ell[:n] * -k)
+        term = mult[:n] * yk / (k * gap)
+        part = float(term.sum())
+        series.append(part)
+        round_k += k * ((s + 1.0) * float(np.dot(term, ell[:n])) + 2.0 * part
+                        ) + (3.0 + _sum_roundings(n)) * part
+        keep = int(np.searchsorted(ell, _SERIES_DEPTH / (k * (s + 1.0)),
+                                   side="right"))
+        yk = yk * y[:n]
+        if keep < n:
+            tail = yk[keep:] / (one_minus_r[keep:n] * (1.0 - y[keep:n]))
+            trunc += float(np.dot(mult[keep:n], tail)) / (k + 1)
+            yk = yk[:keep]
+        n, k = keep, k + 1
+    total = math.fsum(series)
+    return total, trunc, _EPS * (round_k + 0.5 * total)
 
 
 def selberg_Z(s: float, sp: LengthSpectrum) -> SpecialValue:
     """Double Euler product prod_P prod_n (1 - N(P)^-(s+n)), in log space.
 
-    Over the spectrum's array view, n = 0, 1, ... at once for every
-    length: a length's inner product runs while q = exp(-length (s+n))
-    >= _INNER_CUTOFF = 1e-45 and drops the length at its first smaller
-    q.  The lengths are sorted, so q falls along the array and the
-    lengths still running form a prefix.  The error estimate covers that
-    truncation (mult q / (1 - exp(-length)) for the first dropped q) and
-    the rounding of the terms, the sums and the final exp.  The spectrum
-    itself is finite, disclosed via the completeness horizon.
+    Summed as log Z(s) = -log zeta(s) - sum_i m_i sum_{k>=1} y_i^k /
+    (k (1 - r_i^k)), y_i = exp(-l_i (s+1)), r_i = exp(-l_i): the n = 0
+    factors are euler_zeta's, and expanding log(1 - q) and summing
+    n >= 1 as a geometric series gives the rest.  Each row keeps its
+    terms while the next is above 2^-60 of its first (_log_Z_series).
+    The error estimate covers the rounding of log zeta, the truncation
+    of each row's series (a geometric tail) and its rounding, and the
+    rounding of the final exp.  The spectrum itself is finite, disclosed
+    via the completeness horizon.
     """
-    if s <= 1.0 + 1e-3:
-        raise DomainError(f"selberg_Z requires s > 1 + 1e-3, got s={s}")
-    ell, mult = sp.lengths, sp.mults
-    sums = []
-    err = 0.0
-    n = 0
-    while ell.size:
-        q = np.exp(ell * -(s + n))
-        k = np.count_nonzero(q >= _INNER_CUTOFF)
-        if k < q.size:
-            err += float(np.dot(mult[k:], q[k:] / (1.0 - np.exp(-ell[k:]))))
-            ell, mult, q = ell[:k], mult[:k], q[:k]
-        log_inv, round_err = _log_factors(ell, s + n, q, mult)
-        sums.append(-log_inv)
-        err += round_err
-        n += 1
-    log_v = math.fsum(sums)
+    # NaN and inf fail too: NaN would never end the series loop, and inf
+    # makes the rounding bound inf * 0
+    if not 1.0 + 1e-3 < s < math.inf:
+        raise DomainError(f"selberg_Z requires 1 + 1e-3 < s < inf, got s={s}")
+    log_zeta, zeta_err = _log_euler_zeta(s, sp)
+    series, trunc, round_err = _log_Z_series(s, sp)
+    log_v = -log_zeta - series
     v = math.exp(log_v)
-    return SpecialValue(v, v * (err + _EPS * (abs(log_v) + 1.0)))
+    return SpecialValue(v, v * (zeta_err + trunc + round_err
+                                + _EPS * (abs(log_v) + 1.0)))
 
 
 def _log_euler_zeta(s: float, sp: LengthSpectrum) -> Tuple[float, float]:

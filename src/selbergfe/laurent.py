@@ -150,7 +150,7 @@ def eval_at_one(f: LaurentPoly) -> int:
 
 def reverse(f: LaurentPoly, D: int) -> LaurentPoly:
     """x^D * f(x^-1): coefficient of x^k in the result is a(D - k)."""
-    return LaurentPoly({D - k: a for k, a in f.coeffs.items()})
+    return LaurentPoly({D - k: a for k, a in f._coeffs.items()})
 
 
 def detect_automorphy(f: LaurentPoly) -> AutomorphyClass:

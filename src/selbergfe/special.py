@@ -360,10 +360,31 @@ def log_gamma_r(r: int, s: float,
     return _zeta_r(r, 0.0, s, ev, 1)
 
 
+_FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
+
+
+def _normal(v: float, what: str) -> float:
+    """v, or DomainError naming `what` where |v| is not a normal float."""
+    if not _FLOAT_MIN <= abs(v) <= _FLOAT_MAX:
+        raise DomainError(f"{what} = {v!r} lies outside the normal float "
+                          "range; it cannot be evaluated as a float")
+    return v
+
+
+def _exp(x: float, what: str) -> float:
+    """exp(x) through _normal: an overflow reads as inf, not OverflowError."""
+    try:
+        return _normal(math.exp(x), what)
+    except OverflowError:
+        return _normal(math.inf, what)
+
+
 def gamma_r(r: int, s: float,
             ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> SpecialValue:
+    """Normalized order-r gamma function; DomainError where it is not a
+    normal float."""
     lg = log_gamma_r(r, s, ev)
-    v = math.exp(lg.value)
+    v = _exp(lg.value, f"gamma_r({r}, {s!r})")
     return SpecialValue(v, abs(v) * lg.abs_err_estimate)
 
 
@@ -373,7 +394,6 @@ def _is_integer(s: float, tol: float = 1e-12) -> bool:
 
 # the ladder loop takes one step per unit of |s|: the cap bounds its run time
 _S2_MAX_LADDER = 100_000
-_FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
 
 
 def _two_sin_pi(t: float) -> Tuple[float, float]:
@@ -429,15 +449,16 @@ def sine_r(r: int, s: float,
     extended to non-integer real s, |s| <= 100000, by the shift ladder
     S_2(s+1) = S_2(s) / (2 sin pi s).  The order-2 error estimate is
     1e-13 for the base window plus the rounding bound of every ladder
-    step, so it grows with |s|.  Raises DomainError where |S_2(s)| is
-    not a normal float (it over- or underflows far along the ladder).
+    step, so it grows with |s|.  Raises DomainError where the value is
+    not a normal float: |S_2(s)| over- or underflows far along the
+    ladder, and S_1(s) = 2 sin pi s is subnormal for s next to 0.
     """
     if r == 1:
         if not 0 < s < 1:
             raise DomainError(f"sine_r(1, s) requires 0 < s < 1, got s={s}")
         lg = log_gamma_r(1, s, ev)
         lg2 = log_gamma_r(1, 1 - s, ev)
-        v = math.exp(-lg.value - lg2.value)
+        v = _exp(-lg.value - lg2.value, f"sine_r(1, {s!r})")
         return SpecialValue(v, abs(v) * (lg.abs_err_estimate + lg2.abs_err_estimate))
     if r != 2:
         raise DomainError(f"sine_r supports r in {{1, 2}}, got r={r}")
@@ -452,23 +473,34 @@ def sine_r(r: int, s: float,
 
 def gamma_M(s: float, params: SurfaceParams,
             ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> SpecialValue:
-    """Completing gamma factor (Gamma_2(s) Gamma_2(s+1))^(2g-2), in log space."""
+    """Completing gamma factor (Gamma_2(s) Gamma_2(s+1))^(2g-2), in log space.
+
+    Raises DomainError where the value is not a normal float.
+    """
     if s <= 0:
         raise DomainError(f"gamma_M requires s > 0, got s={s}")
     e = 2 * params.genus - 2
     lg = log_gamma_r(2, s, ev)
     lg1 = log_gamma_r(2, s + 1, ev)
-    v = math.exp(e * (lg.value + lg1.value))
+    v = _exp(e * (lg.value + lg1.value),
+             f"gamma_M({s!r}) at genus {params.genus}")
     return SpecialValue(v, abs(v) * abs(e) * (lg.abs_err_estimate + lg1.abs_err_estimate))
 
 
 def s_M(s: float, params: SurfaceParams,
         ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> SpecialValue:
-    """(S_2(s) S_2(s+1))^(2-2g); equals gamma_M(s)/gamma_M(1-s) where both exist."""
+    """(S_2(s) S_2(s+1))^(2-2g); equals gamma_M(s)/gamma_M(1-s) where both exist.
+
+    Raises DomainError where the value is not a normal float.
+    """
     e = 2 - 2 * params.genus
     a = sine_r(2, s, ev)
     b = sine_r(2, s + 1, ev)
-    v = (a.value * b.value) ** e
+    try:
+        v = (a.value * b.value) ** e
+    except OverflowError:
+        v = math.inf
+    v = _normal(v, f"s_M({s!r}) at genus {params.genus}")
     return SpecialValue(v, abs(v) * abs(e) * 2e-13)
 
 

@@ -161,6 +161,14 @@ def test_special_eval_overflow_exit_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_special_eval_overflow_names_the_call(capsys):
+    code, out, err = run(capsys, "--genus", "100000", "special", "eval",
+                         "--fn", "sM", "--s", "0.3")
+    assert (code, out) == (2, "")
+    assert err == ("error: s_M(0.3) at genus 100000 = inf lies outside the "
+                   "normal float range; it cannot be evaluated as a float\n")
+
+
 def test_runtime_error_exit_2(capsys, tmp_path, monkeypatch):
     def drifted(*args):
         raise RuntimeError("non-identity word with |trace| <= 2 encountered")

@@ -261,6 +261,20 @@ def test_verify_Z_fe_binom_powers(r):
     assert verify_Z_fe(binom_power(r)).holds
 
 
+def test_verdicts_copy_coeffs_once(monkeypatch):
+    """Each verdict reads LaurentPoly.coeffs, which copies, exactly once."""
+    reads = []
+    coeffs = LaurentPoly.coeffs.fget
+    monkeypatch.setattr(LaurentPoly, "coeffs",
+                        property(lambda f: reads.append(f) or coeffs(f)))
+    f = LaurentPoly({-1: 1, 0: -2, 1: 1})
+    for verdict in (lambda: verify_theorem2(f, 0),
+                    lambda: verify_theorem3(f, 0), lambda: verify_Z_fe(f)):
+        reads.clear()
+        verdict()
+        assert len(reads) == 1
+
+
 def test_verify_Z_fe_rejects_asymmetric():
     with pytest.raises(ValueError):
         verify_Z_fe(LaurentPoly({2: 1, 1: 2}))

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import math
 import os
+import random
 import re
 
 import mpmath
@@ -31,6 +32,11 @@ def bolza():
 @pytest.fixture(scope="module")
 def spectrum5(bolza):
     return enumerate_spectrum(bolza, 5)
+
+
+@pytest.fixture(scope="module")
+def spectrum7(bolza):
+    return enumerate_spectrum(bolza, 7)
 
 
 def test_mat2_renormalization():
@@ -310,6 +316,62 @@ def test_euler_products_vs_mpmath(spectrum5, s):
         assert sv.abs_err_estimate < 1e-13 * abs(sv.value)
 
 
+def _mp_log_Z_parts(s, entries):
+    """The n = 0 and the n >= 1 parts of log prod over the entries of
+    prod_n (1 - e^-l(s+n))^m.  Each row's n runs while l n < 80, which
+    leaves out less than e^-(80 - l) of the row's n = 1 factor."""
+    sm = mpmath.mpf(s)
+    parts = ([], [])
+    for l, m in entries:
+        n = 0
+        while l * n < 80:
+            parts[n > 0].append(
+                m * mpmath.log1p(-mpmath.exp(-mpmath.mpf(l) * (sm + n))))
+            n += 1
+    return mpmath.fsum(parts[0]), mpmath.fsum(parts[1])
+
+
+@pytest.mark.parametrize("s", [1.0011, 1.2, 2.21, 3.0, 5.0, 8.0, 30.0])
+def test_selberg_Z_vs_mpmath_L7(spectrum7, s):
+    """Z on the 3262-row L = 7 spectrum, from next to the domain edge to
+    where the n >= 1 series has one term, is within its estimate of a
+    30-digit double product, and the estimate is tight.  The series of
+    the n >= 1 factors alone is within its truncation and rounding
+    bounds of their product."""
+    with mpmath.workdps(30):
+        log_n0, log_rest = _mp_log_Z_parts(s, spectrum7.entries)
+        ref = mpmath.exp(log_n0 + log_rest)
+    sv = selberg_Z(s, spectrum7)
+    assert float(abs(sv.value - ref)) <= sv.abs_err_estimate < 1e-13 * sv.value
+    series, trunc, rounding = geodesics._log_Z_series(s, spectrum7)
+    assert float(abs(series + log_rest)) <= trunc + rounding
+
+
+@pytest.mark.parametrize("ell", [1.0, BOLZA_LENGTH, 7.0])
+@pytest.mark.parametrize("s", [1.01, 2.0, 5.0])
+def test_selberg_Z_truncation_bound(ell, s):
+    """A row keeps its k-th series term while (k-1)(s+1)l <= 60 ln 2; the
+    truncation part of the estimate bounds the exact tail beyond those
+    K terms, and by no more than 2x."""
+    sp = LengthSpectrum(entries=[(ell, 2)], genus=2, source="test",
+                        horizon=ell)
+    _, trunc, _ = geodesics._log_Z_series(s, sp)
+    K = math.floor(60 * math.log(2) / ((s + 1) * ell)) + 1
+    with mpmath.workdps(30):
+        y, r = mpmath.exp(-ell * (s + 1)), mpmath.exp(-ell)
+        tail = 2 * mpmath.nsum(lambda k: y ** k / (k * (1 - r ** k)),
+                               [K + 1, mpmath.inf])
+    assert tail <= trunc <= 2 * tail
+
+
+def test_telescoping_seeded_L7(spectrum7):
+    rng = random.Random(7)
+    for s in sorted(rng.uniform(1.01, 7.0) for _ in range(20)):
+        lhs = euler_zeta(s, spectrum7).value
+        rhs = selberg_Z(s + 1, spectrum7).value / selberg_Z(s, spectrum7).value
+        assert abs(lhs - rhs) <= 1e-14 * lhs, s
+
+
 def test_selberg_Z_in_unit_interval(spectrum5):
     v = selberg_Z(4.0, spectrum5).value
     assert 0 < v < 1
@@ -324,6 +386,12 @@ def test_domain_errors(spectrum5):
         selberg_Z(1.0, spectrum5)
     with pytest.raises(DomainError):
         euler_zeta(0.9, spectrum5)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+def test_selberg_Z_rejects_non_finite(spectrum5, s):
+    with pytest.raises(DomainError, match=f"got s={s}"):
+        selberg_Z(s, spectrum5)
 
 
 @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath
 import pytest
@@ -301,6 +302,22 @@ def test_s_M_exponent_linearity():
     l2 = math.log(s_M(0.7, SurfaceParams(2)).value)
     l3 = math.log(s_M(0.7, SurfaceParams(3)).value)
     assert l3 / l2 == pytest.approx((2 - 6) / (2 - 4), rel=1e-9)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: gamma_r(2, 5e-324), "gamma_r(2, 5e-324) = inf"),
+    (lambda: gamma_r(1, 200.0), "gamma_r(1, 200.0) = inf"),
+    (lambda: gamma_M(1e-300, SurfaceParams(2)), "gamma_M(1e-300) at genus 2 = inf"),
+    (lambda: gamma_M(50.0, SurfaceParams(100)), "gamma_M(50.0) at genus 100 = 0.0"),
+    (lambda: s_M(0.3, SurfaceParams(100000)), "s_M(0.3) at genus 100000 = inf"),
+    (lambda: sine_r(1, 5e-324), "sine_r(1, 5e-324) = 3e-323"),
+])
+def test_not_a_normal_float_is_domain_error(call, what):
+    """An over- or underflowing value raises DomainError naming the call,
+    not a bare OverflowError or a zero or subnormal with a zero estimate."""
+    with pytest.raises(DomainError, match=re.escape(what)
+                       + " lies outside the normal float range"):
+        call()
 
 
 # -- the Selberg integral factor -----------------------------------------
