@@ -443,7 +443,7 @@ def _log_factors(ell: np.ndarray, p: float, q: np.ndarray,
 
 
 def _sum_roundings(n: int) -> float:
-    """Roundings, in eps / 2 per term, of numpy's pairwise sum of n terms."""
+    """Rounding of numpy's pairwise sum of n terms >= 0, in eps of the sum."""
     return 0.5 * (19 + (n // 128).bit_length())
 
 

@@ -335,7 +335,7 @@ def _mp_log_Z_parts(s, entries):
 def test_selberg_Z_vs_mpmath_L7(spectrum7, s):
     """Z on the 3262-row L = 7 spectrum, from next to the domain edge to
     where the n >= 1 series has one term, is within its estimate of a
-    30-digit double product, and the estimate is tight.  The series of
+    30-digit double product, an estimate below 1e-13 of Z.  The series of
     the n >= 1 factors alone is within its truncation and rounding
     bounds of their product."""
     with mpmath.workdps(30):
