@@ -11,9 +11,9 @@ from .special import (DomainError, PoleError, SpecialEvaluator, SpecialValue,
                       SurfaceParams, gamma_M, gamma_r, hurwitz_zeta,
                       hurwitz_zeta_dw, log_gamma_r, multiple_hurwitz_zeta,
                       s_M, selberg_fe_factor, sine_r)
-from .geodesics import (BOLZA_LENGTH, FuchsianGroup, LengthSpectrum, Mat2,
-                        bolza_group, enumerate_spectrum, euler_zeta,
-                        geodesic_count, load_spectrum, pgt_table,
-                        save_spectrum, selberg_Z, zeta_motive_numeric)
+from .geodesics import (BOLZA_LENGTH, LengthSpectrum, bolza_group,
+                        enumerate_spectrum, euler_zeta, geodesic_count,
+                        load_spectrum, pgt_table, save_spectrum, selberg_Z,
+                        zeta_motive_numeric)
 
 __version__ = "0.1.0"

@@ -241,9 +241,10 @@ def _cmd_pgt(args, cfg: RunConfig, out: _Output) -> int:
     if args.points < 1:
         raise ValueError("--points must be >= 1")
     lo = 1.1
+    if not 0.0 < args.xmax < math.inf or math.log(args.xmax) <= lo:
+        raise ValueError(f"--xmax must be finite and exceed e^{lo:.2f}, "
+                         f"got {args.xmax}")
     hi = math.log(args.xmax)
-    if hi <= lo:
-        raise ValueError(f"--xmax must exceed e^{lo:.2f}, got {args.xmax}")
     if args.points == 1:
         xs = [args.xmax]
     else:

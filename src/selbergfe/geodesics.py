@@ -14,8 +14,9 @@ per letter with the first letter highest: the word and its inverse
 word.  Extending a word, testing its cyclic reduction, rotating it and
 keying its class up to rotation and inversion are shifts and masks on
 those codes, so words of up to 15 letters fit.  Memory is the real
-limit: the frontier grows sevenfold per letter (2k-1-fold for k
-generators), so an enumeration is refused before it starts when its
+limit: each word has 7 extensions among the 8 letters of Bolza (4
+generators and their inverses), so the frontier grows sevenfold per
+letter, and an enumeration is refused before it starts when its
 estimated peak exceeds the physical memory of the machine.
 
 Geodesics gamma and gamma^-1 are counted as distinct throughout, the
@@ -46,7 +47,7 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .laurent import LaurentPoly
-from .special import DomainError, SpecialValue
+from .special import _FLOAT_MIN, DomainError, SpecialValue, _normal
 
 _TRACE_TOL = 1e-9
 _LENGTH_MERGE_TOL = 1e-9
@@ -59,53 +60,6 @@ _MAX_WORD_LEN = 15  # word codes use 4 bits per letter in a 64-bit int
 _PEAK_BYTES_PER_WORD = 120
 
 BOLZA_LENGTH = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
-
-
-@dataclass
-class Mat2:
-    """Real 2x2 matrix of determinant 1 (renormalized on drift)."""
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    def renormalized(self) -> "Mat2":
-        det = self.det()
-        if abs(det - 1.0) <= 1e-13:
-            return self
-        r = 1.0 / math.sqrt(det)
-        return Mat2(self.a * r, self.b * r, self.c * r, self.d * r)
-
-    def trace(self) -> float:
-        return self.a + self.d
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]])
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a * other.a + self.b * other.c,
-                    self.a * other.b + self.b * other.d,
-                    self.c * other.a + self.d * other.c,
-                    self.c * other.b + self.d * other.d).renormalized()
-
-    def inverse(self) -> "Mat2":
-        return Mat2(self.d, -self.b, -self.c, self.a).renormalized()
-
-
-@dataclass
-class FuchsianGroup:
-    generators: List[Mat2]
-    label: str
-
-    def __post_init__(self):
-        for i, g in enumerate(self.generators):
-            if abs(g.trace()) <= 2.0:
-                raise ValueError(
-                    f"generator {i} of {self.label!r} is not hyperbolic "
-                    f"(|trace| = {abs(g.trace())})")
 
 
 @dataclass(frozen=True)
@@ -148,6 +102,9 @@ class LengthSpectrum:
                 f"{entries[i - 1][0]} then {entries[i][0]}")
         if n and not lengths[0] > 0:
             raise ValueError(f"lengths must be positive, got {entries[0][0]}")
+        if not 0.0 <= self.horizon < math.inf:
+            raise ValueError("completeness horizon must be finite and >= 0, "
+                             f"got {self.horizon}")
         if n and self.horizon > lengths[-1] + 1e-12:
             raise ValueError("completeness horizon exceeds max recorded length")
         cum = np.concatenate(([0.0], np.cumsum(mults)))
@@ -163,49 +120,47 @@ class LengthSpectrum:
         return int(self.cum_mults[-1])
 
 
-def _rotation(phi: float) -> Mat2:
-    return Mat2(math.cos(phi), math.sin(phi), -math.sin(phi), math.cos(phi))
+def bolza_group() -> np.ndarray:
+    """The 8 letters of the regular-octagon genus-2 (Bolza) surface group.
 
-
-def bolza_group() -> FuchsianGroup:
-    """Side-pairing generators of the regular-octagon genus-2 surface.
-
-    Each generator translates by 2*arccosh(1+sqrt(2)) along a geodesic
-    through the origin at tangent angle k*pi/4 (k = 0..3); a rotation
-    matrix R(phi) turns the tangent space at the base point by 2*phi,
-    hence the conjugating angle k*pi/8.
+    A read-only C-contiguous float64 array of shape (8, 2, 2): letter 2k
+    is side-pairing generator k (k = 0..3) and letter 2k + 1 its inverse.
+    Generator k translates by 2*arccosh(1+sqrt(2)) along a geodesic
+    through the origin at tangent angle k*pi/4; it is R T R^-1, with T
+    the translation along the imaginary axis and R = R(k*pi/8), since a
+    rotation matrix R(phi) turns the tangent space at the base point by
+    2*phi.  The products are formed in scalar float arithmetic.
     """
     half = math.acosh(1.0 + math.sqrt(2.0))
-    trans = Mat2(math.exp(half), 0.0, 0.0, math.exp(-half))
-    gens = []
+    trans = (math.exp(half), 0.0, 0.0, math.exp(-half))
+
+    def mul(x, y):
+        return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+                x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+    rows = []
     for k in range(4):
-        rot = _rotation(k * math.pi / 8)
-        gens.append(rot @ trans @ rot.inverse())
-    return FuchsianGroup(gens, "bolza-octagon")
+        c, s = math.cos(k * math.pi / 8), math.sin(k * math.pi / 8)
+        a, b, cc, d = mul(mul((c, s, -s, c), trans), (c, -s, s, c))
+        rows += [((a, b), (cc, d)), ((d, -b), (-cc, a))]
+    letters = np.array(rows)
+    letters.flags.writeable = False
+    return letters
 
 
-def _letter_matrices(group: FuchsianGroup) -> np.ndarray:
-    """Alphabet matrices: letter 2i is generator i, letter 2i+1 its inverse."""
-    mats = []
-    for g in group.generators:
-        mats.append(g.as_array())
-        mats.append(g.inverse().as_array())
-    return np.array(mats)
-
-
-def _frontiers(group: FuchsianGroup, max_len: int
+def _frontiers(letters: np.ndarray, max_len: int
                ) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Breadth-first search: (n, codes, inv, mats) for n = 1..max_len.
 
-    One item holds every freely reduced word of length n.  codes packs
-    a word w_1..w_n as sum w_i 16^(n-i), first letter highest; inv packs
-    its inverse word (w_n ^ 1)..(w_1 ^ 1) the same way; mats holds the
+    One item holds every freely reduced word of length n over letters,
+    an array such as bolza_group() returns.  codes packs a word
+    w_1..w_n as sum w_i 16^(n-i), first letter highest; inv packs its
+    inverse word (w_n ^ 1)..(w_1 ^ 1) the same way; mats holds the
     product of its letter matrices, renormalized to determinant 1 when
     it drifts.  Words of length n are the words of length n - 1
     extended by each letter in turn, one block per letter, so the order
     is fixed.
     """
-    letters = _letter_matrices(group)
     codes = np.arange(letters.shape[0], dtype=np.int64)
     inv = codes ^ 1
     mats = letters.copy()
@@ -298,24 +253,21 @@ def _classify_frontier(n: int, codes: np.ndarray, inv: np.ndarray,
     return abs_tr[np.sort(first)]
 
 
-def enumerate_spectrum(group: FuchsianGroup,
+def enumerate_spectrum(letters: np.ndarray,
                        max_word_len: int) -> LengthSpectrum:
     """Breadth-first word enumeration up to max_word_len, classified.
 
-    The result is deterministic: the same group and bound give the same
-    spectrum on every run.  Raises ValueError, before anything is
-    allocated, when the estimated peak memory (_PEAK_BYTES_PER_WORD per
-    word of length max_word_len) exceeds the machine's physical memory.
+    letters is the array bolza_group() returns.  The result is
+    deterministic: the same bound gives the same spectrum on every run.
+    Raises ValueError, before anything is allocated, when the estimated
+    peak memory (_PEAK_BYTES_PER_WORD per word of length max_word_len)
+    exceeds the machine's physical memory.
     """
     if max_word_len < 1:
         raise ValueError(f"max_word_len must be >= 1, got {max_word_len}")
     if max_word_len > _MAX_WORD_LEN:
         raise ValueError(f"max_word_len is capped at {_MAX_WORD_LEN}")
-    n_letters = 2 * len(group.generators)
-    if n_letters > 16:
-        raise ValueError("word codes hold at most 16 letters, i.e. 8 "
-                         f"generators; {group.label!r} has "
-                         f"{len(group.generators)}")
+    n_letters = letters.shape[0]
     words = n_letters * (n_letters - 1) ** (max_word_len - 1)
     need = words * _PEAK_BYTES_PER_WORD
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -327,7 +279,7 @@ def enumerate_spectrum(group: FuchsianGroup,
             "physical memory")
 
     lengths_per_n = [2.0 * np.arccosh(_classify_frontier(*frontier) / 2.0)
-                     for frontier in _frontiers(group, max_word_len)]
+                     for frontier in _frontiers(letters, max_word_len)]
 
     horizon = float(np.min(lengths_per_n[-1])) if lengths_per_n[-1].size else 0.0
     all_lengths = np.sort(np.concatenate(lengths_per_n))
@@ -337,7 +289,7 @@ def enumerate_spectrum(group: FuchsianGroup,
             entries[-1] = (entries[-1][0], entries[-1][1] + 2)
         else:
             entries.append((float(ell), 2))
-    source = (f"{group.label} word-enumeration L={max_word_len}; "
+    source = (f"bolza-octagon word-enumeration L={max_word_len}; "
               "conjugacy=cyclic-words+trace-clustering (word-level)")
     return LengthSpectrum(entries=entries, genus=2, source=source,
                           horizon=horizon)
@@ -386,12 +338,16 @@ def load_spectrum(path: str) -> LengthSpectrum:
                     continue
                 key, value = body.split("=", 1)
                 key = key.strip()
-                if key == "genus":
-                    genus = int(value)
-                elif key == "source":
-                    source = value.strip()
-                elif key == "horizon":
-                    horizon = float(value)
+                try:
+                    if key == "genus":
+                        genus = int(value)
+                    elif key == "source":
+                        source = value.strip()
+                    elif key == "horizon":
+                        horizon = float(value)
+                except ValueError as exc:
+                    raise SpectrumFormatError(path, lineno,
+                                              f"{key}: {exc}") from None
                 continue
             parts = line.split()
             if len(parts) != 2:
@@ -447,7 +403,8 @@ def _sum_roundings(n: int) -> float:
     return 0.5 * (19 + (n // 128).bit_length())
 
 
-def _log_Z_series(s: float, sp: LengthSpectrum) -> Tuple[float, float, float]:
+def _log_Z_series(s: float, sp: LengthSpectrum, limit: float = math.inf
+                  ) -> Tuple[float, float, float]:
     """sum_i m_i sum_{k>=1} y_i^k / (k (1 - r_i^k)), with two error bounds.
 
     y = exp(-length (s + 1)) and r = exp(-length).  Returns the series,
@@ -466,17 +423,27 @@ def _log_Z_series(s: float, sp: LengthSpectrum) -> Tuple[float, float, float]:
     pass's pairwise sum adds eps / 2 of the pass total per rounding,
     counted as in _log_factors, and the fsum over passes eps / 2 of the
     whole.
+
+    Raises DomainError once the passes so far sum to more than limit,
+    which selberg_Z sets where Z would underflow: every term is
+    positive, so the series only grows from there.
     """
     ell, mult = sp.lengths, sp.mults
     y = np.exp(ell * -(s + 1.0))
     one_minus_r = -np.expm1(-ell)
     yk, n, k = y, ell.size, 1
-    series, trunc, round_k = [], 0.0, 0.0
+    series, partial, trunc, round_k = [], 0.0, 0.0, 0.0
     while n:
         gap = one_minus_r if k == 1 else -np.expm1(ell[:n] * -k)
         term = mult[:n] * yk / (k * gap)
         part = float(term.sum())
         series.append(part)
+        partial += part
+        if partial > limit:
+            raise DomainError(
+                f"selberg_Z({s}) lies below {_FLOAT_MIN!r} (seen at series "
+                f"pass {k}), outside the normal float range; it cannot be "
+                "evaluated as a float")
         round_k += k * ((s + 1.0) * float(np.dot(term, ell[:n])) + 2.0 * part
                         ) + (3.0 + _sum_roundings(n)) * part
         keep = int(np.searchsorted(ell, _SERIES_DEPTH / (k * (s + 1.0)),
@@ -502,16 +469,18 @@ def selberg_Z(s: float, sp: LengthSpectrum) -> SpecialValue:
     The error estimate covers the rounding of log zeta, the truncation
     of each row's series (a geometric tail) and its rounding, and the
     rounding of the final exp.  The spectrum itself is finite, disclosed
-    via the completeness horizon.
+    via the completeness horizon.  Raises DomainError where Z is not a
+    normal float, as soon as the series shows it.
     """
     # NaN and inf fail too: NaN would never end the series loop, and inf
     # makes the rounding bound inf * 0
     if not 1.0 + 1e-3 < s < math.inf:
         raise DomainError(f"selberg_Z requires 1 + 1e-3 < s < inf, got s={s}")
     log_zeta, zeta_err = _log_euler_zeta(s, sp)
-    series, trunc, round_err = _log_Z_series(s, sp)
+    series, trunc, round_err = _log_Z_series(
+        s, sp, -log_zeta - math.log(_FLOAT_MIN))
     log_v = -log_zeta - series
-    v = math.exp(log_v)
+    v = _normal(math.exp(log_v), f"selberg_Z({s})")
     return SpecialValue(v, v * (zeta_err + trunc + round_err
                                 + _EPS * (abs(log_v) + 1.0)))
 
@@ -527,8 +496,8 @@ def euler_zeta(s: float, sp: LengthSpectrum) -> SpecialValue:
     The error estimate bounds the rounding of the terms, their sum and
     the final exp; the product over the finite spectrum is not truncated.
     """
-    if s <= 1.0 + 1e-3:
-        raise DomainError(f"euler_zeta requires s > 1 + 1e-3, got s={s}")
+    if not 1.0 + 1e-3 < s < math.inf:
+        raise DomainError(f"euler_zeta requires 1 + 1e-3 < s < inf, got s={s}")
     log_v, err = _log_euler_zeta(s, sp)
     v = math.exp(log_v)
     return SpecialValue(v, v * (err + _EPS))
@@ -542,9 +511,9 @@ def zeta_motive_numeric(f: LaurentPoly, s: float,
     factor's log error, plus the rounding of the sum and the final exp.
     """
     for k in f.support():
-        if s - k <= 1.0 + 1e-3:
+        if not 1.0 + 1e-3 < s - k < math.inf:
             raise DomainError(
-                f"motive factor k={k} needs s - k > 1 + 1e-3, "
+                f"motive factor k={k} needs 1 + 1e-3 < s - k < inf, "
                 f"got s - k = {s - k}")
     log_v = 0.0
     err = 0.0

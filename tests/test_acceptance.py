@@ -135,7 +135,8 @@ def test_criterion_07_order2_reduction_and_gamma2_at_one():
 def test_criterion_08_bolza_pipeline(bolza, pipeline8):
     sp1, p1, p2, elapsed = pipeline8
     expected = 2 + 2 * math.sqrt(2)
-    ok = all(abs(abs(g.trace()) - expected) < 1e-12 for g in bolza.generators)
+    traces = np.abs(np.trace(bolza, axis1=1, axis2=2))
+    ok = bool(np.all(np.abs(traces - expected) < 1e-12))
 
     # exhaustive search over cyclically reduced length-8 words for a relator
     for n, codes, _, mats in _frontiers(bolza, 8):

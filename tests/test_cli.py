@@ -241,6 +241,29 @@ def test_zeta_eval_domain_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("s", ["nan", "inf"])
+@pytest.mark.parametrize("fn", [("--fn", "zeta"), ("--motive=-1=1,0=-1",)])
+def test_zeta_eval_non_finite_s_exit_2(capsys, tmp_path, fn, s):
+    spath = str(tmp_path / "sp.txt")
+    run(capsys, "spectrum", "bolza", "--max-word-len", "2", "--out", spath)
+    code, out, err = run(capsys, "zeta", "eval", "--spectrum", spath,
+                         "--s", s, *fn)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(f"{s}\n")
+
+
+@pytest.mark.parametrize("xmax", ["inf", "1e400", "nan"])
+@pytest.mark.parametrize("points", ["1", "3"])
+def test_pgt_non_finite_xmax_exit_2(capsys, tmp_path, xmax, points):
+    spath = str(tmp_path / "sp.txt")
+    run(capsys, "spectrum", "bolza", "--max-word-len", "2", "--out", spath)
+    code, out, err = run(capsys, "pgt", "--spectrum", spath,
+                         "--xmax", xmax, "--points", points)
+    assert (code, out) == (2, "")
+    assert err == ("error: --xmax must be finite and exceed e^1.10, got "
+                   f"{float(xmax)}\n")
+
+
 def test_spectrum_bolza_golden_output(capsys, tmp_path):
     spath = str(tmp_path / "sp.txt")
     code, out, err = run(capsys, "spectrum", "bolza",

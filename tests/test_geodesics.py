@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selbergfe import geodesics
-from selbergfe.geodesics import (BOLZA_LENGTH, FuchsianGroup, LengthSpectrum,
-                                 Mat2, SpectrumFormatError, bolza_group,
+from selbergfe.geodesics import (BOLZA_LENGTH, LengthSpectrum,
+                                 SpectrumFormatError, bolza_group,
                                  enumerate_spectrum, euler_zeta,
                                  geodesic_count, load_spectrum, pgt_table,
                                  save_spectrum, selberg_Z, zeta_motive_numeric,
                                  _canonical_codes, _cyclically_reduced,
-                                 _frontiers, _letter_matrices)
+                                 _frontiers)
 from selbergfe.laurent import LaurentPoly
 from selbergfe.special import DomainError
 
@@ -39,27 +39,34 @@ def spectrum7(bolza):
     return enumerate_spectrum(bolza, 7)
 
 
-def test_mat2_renormalization():
-    m = Mat2(2.0, 0.0, 0.0, 0.5000001)
-    r = m.renormalized()
-    assert abs(r.det() - 1.0) < 1e-12
+def test_letters_layout(bolza):
+    assert bolza.shape == (8, 2, 2) and bolza.dtype == np.float64
+    assert bolza.flags.c_contiguous
 
 
 def test_generator_traces(bolza):
-    for g in bolza.generators:
-        assert abs(g.trace()) == pytest.approx(2 + 2 * math.sqrt(2), abs=1e-12)
-        assert abs(g.det() - 1.0) < 1e-13
+    """All 8 letters, generators and inverses, have |trace| 2 + 2 sqrt 2
+    and determinant 1."""
+    traces = np.trace(bolza, axis1=1, axis2=2)
+    assert np.abs(np.abs(traces) - (2 + 2 * math.sqrt(2))).max() <= 1e-12
+    assert np.abs(np.linalg.det(bolza) - 1.0).max() <= 1e-13
 
 
 def test_generator_length_matches_systole(bolza):
-    for g in bolza.generators:
-        ell = 2 * math.acosh(abs(g.trace()) / 2)
-        assert ell == pytest.approx(BOLZA_LENGTH, abs=1e-12)
+    traces = np.abs(np.trace(bolza, axis1=1, axis2=2))
+    lengths = 2 * np.arccosh(traces / 2)
+    assert np.abs(lengths - BOLZA_LENGTH).max() <= 1e-12
 
 
-def test_non_hyperbolic_generator_rejected():
+def test_letter_inverses(bolza):
+    """Letter 2k + 1 is the inverse of letter 2k."""
+    products = bolza[1::2] @ bolza[0::2]
+    assert np.abs(products - np.eye(2)).max() <= 1e-14
+
+
+def test_letters_read_only(bolza):
     with pytest.raises(ValueError):
-        FuchsianGroup([Mat2(1.0, 0.0, 0.0, 1.0)], "bad")
+        bolza[0, 0, 0] = 1.0
 
 
 def test_relator_exists_at_length_8(bolza):
@@ -87,7 +94,6 @@ def _inverse(word):
 def test_frontier_codes(bolza):
     """Up to length 4 every freely reduced word appears once, with the
     code of its inverse word and the product of its letter matrices."""
-    letters = _letter_matrices(bolza)
     for n, codes, inv, mats in _frontiers(bolza, 4):
         words = [tuple((c >> 4 * (n - 1 - i)) & 15 for i in range(n))
                  for c in codes.tolist()]
@@ -95,7 +101,7 @@ def test_frontier_codes(bolza):
         for word, c, ic, m in zip(words, codes.tolist(), inv.tolist(), mats):
             assert all(b != a ^ 1 for a, b in zip(word, word[1:]))
             assert c == _code(word) and ic == _code(_inverse(word))
-            product = functools.reduce(np.matmul, [letters[a] for a in word])
+            product = functools.reduce(np.matmul, [bolza[a] for a in word])
             assert np.abs(m - product).max() <= 1e-10 * np.abs(product).max()
 
 
@@ -147,9 +153,6 @@ def test_spectrum_rejects_bad_args(bolza):
         enumerate_spectrum(bolza, 0)
     with pytest.raises(ValueError, match="capped at 15"):
         enumerate_spectrum(bolza, 16)
-    nine = FuchsianGroup(bolza.generators * 2 + bolza.generators[:1], "nine")
-    with pytest.raises(ValueError, match="at most 16 letters"):
-        enumerate_spectrum(nine, 1)
 
 
 def test_spectrum_memory_checked_before_allocating(bolza, monkeypatch):
@@ -163,7 +166,8 @@ def test_spectrum_memory_checked_before_allocating(bolza, monkeypatch):
 
 
 # SHA-256 of the file save_spectrum writes for the Bolza spectrum at
-# L = 1..6.  They pin the enumeration's output byte for byte, and change
+# L = 1..7; L = 7 is the spectrum the benchmark's Euler products read.
+# They pin the enumeration's output byte for byte, and change
 # on purpose only when the classification of words changes.
 SPECTRUM_SHA256 = {
     1: "1962cdaf940340da9bee9a1e5d1caa980ab19952ec7a4f43b7cf0037a697b7a6",
@@ -172,6 +176,7 @@ SPECTRUM_SHA256 = {
     4: "1c38b3a807b49cc33de8541783ef17e6ab841039c22e08cde3b16f5982b8c6e4",
     5: "0027f36db1a6cd281881687eff26a5e5c1f9a0f2ba1651bab6fded157fe0e253",
     6: "cda892d10954233d87f4962d0c593c8ff9f339126b04d85081f175940e9c556f",
+    7: "4b71dac66c3fd437cdbacb7cdd17eddaa124caa6b4a4104b5cfb95a25b49e5f0",
 }
 
 
@@ -225,6 +230,15 @@ def test_spectrum_validation_names_the_row(entries, message):
         LengthSpectrum(entries=entries, genus=2, source="test", horizon=0.0)
 
 
+@pytest.mark.parametrize("entries", [[], [(3.0, 2)]])
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, -1.0])
+def test_spectrum_horizon_must_be_finite_and_nonnegative(entries, horizon):
+    with pytest.raises(ValueError, match=re.escape(
+            f"horizon must be finite and >= 0, got {horizon}")):
+        LengthSpectrum(entries=entries, genus=2, source="test",
+                       horizon=horizon)
+
+
 # -- persistence ---------------------------------------------------------
 
 def test_save_load_roundtrip(spectrum5, tmp_path):
@@ -248,6 +262,26 @@ def test_load_rejects_missing_genus(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# horizon=2.0\n3.0 2\n")
     with pytest.raises(SpectrumFormatError):
+        load_spectrum(str(path))
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("# genus=abc\n# horizon=2.0\n3.0 2\n", 1, "genus: invalid literal"),
+    ("# genus=2\n# horizon=abc\n3.0 2\n", 2, "horizon: could not convert"),
+    ("# genus=2\n# source=x\n# horizon=\n", 3, "horizon: could not convert"),
+], ids=["genus", "horizon", "empty-horizon"])
+def test_load_names_a_bad_header_value(tmp_path, text, lineno, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(SpectrumFormatError, match=f":{lineno}: {message}"):
+        load_spectrum(str(path))
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf", "-1.0"])
+def test_load_rejects_bad_horizon(tmp_path, horizon):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# genus=2\n# horizon={horizon}\n")
+    with pytest.raises(ValueError, match="horizon must be finite and >= 0"):
         load_spectrum(str(path))
 
 
@@ -392,6 +426,27 @@ def test_domain_errors(spectrum5):
 def test_selberg_Z_rejects_non_finite(spectrum5, s):
     with pytest.raises(DomainError, match=f"got s={s}"):
         selberg_Z(s, spectrum5)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+def test_euler_zeta_rejects_non_finite(spectrum5, s):
+    with pytest.raises(DomainError, match=f"got s={s}"):
+        euler_zeta(s, spectrum5)
+    with pytest.raises(DomainError, match=f"got s - k = {s}"):
+        zeta_motive_numeric(LaurentPoly({-1: 1, 0: -1}), s, spectrum5)
+
+
+@pytest.mark.parametrize("ell", [1e-3, 1e-6])
+def test_selberg_Z_underflow_raises_at_first_pass(ell):
+    """A very short length makes Z underflow; the first series pass
+    shows it, so the error comes without running the ~1/length passes
+    the series would otherwise take."""
+    sp = LengthSpectrum(entries=[(ell, 2), (3.0, 2)], genus=2,
+                        source="test", horizon=0.0)
+    with pytest.raises(DomainError, match=re.escape(
+            "selberg_Z(2.0) lies below 2.2250738585072014e-308 (seen at "
+            "series pass 1), outside the normal float range")):
+        selberg_Z(2.0, sp)
 
 
 @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
