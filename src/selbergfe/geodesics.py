@@ -11,13 +11,18 @@ horizon are counted per word class) and the spectrum file discloses it.
 
 The breadth-first search carries each word as two int64 codes, 4 bits
 per letter with the first letter highest: the word and its inverse
-word.  Extending a word, testing its cyclic reduction, rotating it and
-keying its class up to rotation and inversion are shifts and masks on
-those codes, so words of up to 15 letters fit.  Memory is the real
-limit: each word has 7 extensions among the 8 letters of Bolza (4
-generators and their inverses), so the frontier grows sevenfold per
-letter, and an enumeration is refused before it starts when its
-estimated peak exceeds the physical memory of the machine.
+word.  Extending a word, testing its cyclic reduction and rotating it
+are shifts and masks on those codes, so words of up to 15 letters fit.
+Each frontier is built one block per last letter, so it is in
+ascending order of its reversed words; a class is represented by its
+first word in that order, found with no sort as the member whose
+reversed word has the least code among the rotations of the word and
+of its inverse.  That test needs the word alone, so each frontier is
+classified in fixed-size chunks.  Memory is the real limit: each word
+has 7 extensions among the 8 letters of Bolza (4 generators and their
+inverses), so the frontier grows sevenfold per letter, and an
+enumeration is refused before it starts when its estimated peak
+exceeds the physical memory of the machine.
 
 Geodesics gamma and gamma^-1 are counted as distinct throughout, the
 convention under which the sine factor in the functional equation has
@@ -47,17 +52,22 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .laurent import LaurentPoly
-from .special import _FLOAT_MIN, DomainError, SpecialValue, _normal
+from .special import _FLOAT_MIN, DomainError, SpecialValue, _exp, _normal
 
 _TRACE_TOL = 1e-9
 _LENGTH_MERGE_TOL = 1e-9
 _MAX_WORD_LEN = 15  # word codes use 4 bits per letter in a 64-bit int
-# Peak memory of an enumeration per word of its last frontier: 113 bytes
-# measured at L = 8 (710 MB above the interpreter's own for 8*7^7 words,
-# numpy 2.4, CPython 3.11), rounded up.  Building the last frontier
-# holds its per-letter blocks and their concatenation, 48 bytes a word
-# each (one 2x2 float64 matrix and two int64 codes).
-_PEAK_BYTES_PER_WORD = 120
+# Peak memory of an enumeration per word of its last frontier: 62.7 to
+# 63.6 bytes measured at L = 8 (413 to 419 MB of ru_maxrss above the
+# interpreter's own for 8*7^7 words, numpy 2.4, CPython 3.11), rounded
+# up.  The last frontier is 48 bytes a word (one 2x2 float64 matrix and
+# two int64 codes), written in place; the frontier before it, a 7th of
+# the size, and one letter's gathered matrices and renormalization
+# temporaries, an 8th, make up the rest.
+_PEAK_BYTES_PER_WORD = 64
+# Words classified at a time: the classification's temporaries are a
+# chunk in size, whatever the word length.
+_CLASSIFY_CHUNK = 1 << 16
 
 BOLZA_LENGTH = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
 
@@ -158,8 +168,10 @@ def _frontiers(letters: np.ndarray, max_len: int
     inverse word (w_n ^ 1)..(w_1 ^ 1) the same way; mats holds the
     product of its letter matrices, renormalized to determinant 1 when
     it drifts.  Words of length n are the words of length n - 1
-    extended by each letter in turn, one block per letter, so the order
-    is fixed.
+    extended by each letter in turn, one block per letter, so the
+    frontier is in ascending order of its reversed words w_n..w_1,
+    whose codes are inv ^ 0x11..1.  Each block is written straight
+    into the preallocated arrays of the next frontier.
     """
     codes = np.arange(letters.shape[0], dtype=np.int64)
     inv = codes ^ 1
@@ -168,22 +180,32 @@ def _frontiers(letters: np.ndarray, max_len: int
     for n in range(2, max_len + 1):
         last = codes & 15
         top = 4 * (n - 1)
-        blocks_c, blocks_i, blocks_m = [], [], []
-        for letter in range(letters.shape[0]):
+        # the words that letter l extends are those not ending in l ^ 1
+        sizes = codes.size - np.bincount(last ^ 1, minlength=letters.shape[0])
+        ends = np.cumsum(sizes).tolist()
+        new_codes = np.empty(ends[-1], dtype=np.int64)
+        new_inv = np.empty_like(new_codes)
+        new_mats = np.empty((ends[-1], 2, 2))
+        begin = 0
+        for letter, end in enumerate(ends):
             mask = last != (letter ^ 1)
-            blocks_c.append((codes[mask] << 4) | letter)
-            blocks_i.append(inv[mask] | ((letter ^ 1) << top))
+            block_c, block_i = new_codes[begin:end], new_inv[begin:end]
+            np.compress(mask, codes, out=block_c)
+            block_c <<= 4
+            block_c |= letter
+            np.compress(mask, inv, out=block_i)
+            block_i |= (letter ^ 1) << top
             # np.compress gathers the same rows as mats[mask], 3x faster
-            blocks_m.append(np.compress(mask, mats, axis=0) @ letters[letter])
-        codes = np.concatenate(blocks_c)
-        inv = np.concatenate(blocks_i)
-        mats = np.concatenate(blocks_m)
-        del blocks_c, blocks_i, blocks_m
-        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-        # x / 1.0 == x exactly, so only the drifted matrices change; one
-        # full division is 3x faster than a masked read-modify-write
-        mats /= np.where(np.abs(det - 1.0) > 1e-13, np.sqrt(det), 1.0)[
-            :, None, None]
+            block_m = np.matmul(np.compress(mask, mats, axis=0),
+                                letters[letter], out=new_mats[begin:end])
+            det = (block_m[:, 0, 0] * block_m[:, 1, 1]
+                   - block_m[:, 0, 1] * block_m[:, 1, 0])
+            # x / 1.0 == x exactly, so only the drifted matrices change;
+            # one full division is 3x faster than a masked read-modify-write
+            block_m /= np.where(np.abs(det - 1.0) > 1e-13, np.sqrt(det),
+                                1.0)[:, None, None]
+            begin = end
+        codes, inv, mats = new_codes, new_inv, new_mats
         yield n, codes, inv, mats
 
 
@@ -192,18 +214,24 @@ def _cyclically_reduced(codes: np.ndarray, n: int) -> np.ndarray:
     return (codes >> 4 * (n - 1)) != ((codes & 15) ^ 1)
 
 
-def _canonical_codes(codes: np.ndarray, inv: np.ndarray,
-                     n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Class key and proper-power flag of each length-n word.
+def _class_firsts(codes: np.ndarray, inv: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the length-n words that come first in their class.
 
-    Rotating a word left by r letters is rot_r(c) = ((c << 4r) & (16^n
-    - 1)) | (c >> 4(n - r)) on its code.  The key is the least code
-    among the rotations of the word and of its inverse word, so a class
-    and its inverse class share one key.  A word is a proper power when
-    a rotation by a proper divisor of n leaves it unchanged.
+    A class is a word's rotations and those of its inverse word.  In
+    frontier order (see _frontiers) the first member is the one whose
+    reversed word has the least code.  The reversed words of the class
+    are the rotations of inv ^ ones (the word's own reversal) and of
+    codes ^ ones (its inverse word's), ones = 0x11..1, where rotating
+    left by r letters is rot_r(c) = ((c << 4r) & (16^n - 1)) |
+    (c >> 4(n - r)).  A proper power, which a rotation by a proper
+    divisor of n leaves unchanged, is never marked.  codes and inv are
+    overwritten.
     """
     full = (1 << 4 * n) - 1
-    canonical = np.minimum(codes, inv)
+    ones = full // 15
+    codes ^= ones
+    inv ^= ones
+    least = np.minimum(codes, inv)
     periodic = np.zeros(codes.shape, dtype=bool)
     rot, wrap = np.empty_like(codes), np.empty_like(codes)
     for r in range(1, n):
@@ -211,10 +239,10 @@ def _canonical_codes(codes: np.ndarray, inv: np.ndarray,
             np.left_shift(c, 4 * r, out=rot)
             rot &= full
             rot |= np.right_shift(c, 4 * (n - r), out=wrap)
-            np.minimum(canonical, rot, out=canonical)
+            np.minimum(least, rot, out=least)
             if c is codes and n % r == 0:
                 periodic |= rot == codes
-    return canonical, periodic
+    return (inv == least) & ~periodic
 
 
 def _classify_frontier(n: int, codes: np.ndarray, inv: np.ndarray,
@@ -225,32 +253,66 @@ def _classify_frontier(n: int, codes: np.ndarray, inv: np.ndarray,
     drops identity words (relators) and proper powers, aborts on any
     elliptic non-identity word, and returns one |trace| per class of
     words up to rotation and inversion: that of the class's first word
-    in frontier order.  A class and its inverse class are merged, so
-    both orientations carry bit-identical traces (a word and its
-    inverse can otherwise differ by float noise and split across a
-    cluster boundary); each merged class stands for exactly 2 oriented
-    geodesics, since no element of a surface group is conjugate to its
-    own inverse.
+    in frontier order, the classes in that order too.  A class and its
+    inverse class are merged, so both orientations carry bit-identical
+    traces (a word and its inverse can otherwise differ by float noise
+    and split across a cluster boundary); each merged class stands for
+    exactly 2 oriented geodesics, since no element of a surface group
+    is conjugate to its own inverse.  Whether a word comes first is
+    decided from the word alone, so the frontier is classified in
+    chunks of _CLASSIFY_CHUNK words and no temporary outgrows a chunk.
     """
-    abs_tr = np.abs(mats[:, 0, 0] + mats[:, 1, 1])
-    keep = _cyclically_reduced(codes, n)
-    low = keep & (abs_tr <= 2.0 + _TRACE_TOL)
-    if np.any(low):
-        bad_mats = mats[low]
-        signs = np.sign(bad_mats[:, 0, 0])[:, None, None]
-        dev = np.max(np.abs(bad_mats - signs * np.eye(2)), axis=(1, 2))
-        if np.any(dev > 1e-6):
-            i = int(np.argmax(dev))
-            raise RuntimeError(
-                "non-identity word with |trace| <= 2 encountered "
-                f"(|trace|={abs_tr[low][i]}, deviation from identity "
-                f"{dev[i]}): the group is not cocompact torsion-free "
-                "or the matrices have drifted")
-        keep &= ~low
-    canonical, periodic = _canonical_codes(codes[keep], inv[keep], n)
-    abs_tr = abs_tr[keep][~periodic]
-    _, first = np.unique(canonical[~periodic], return_index=True)
-    return abs_tr[np.sort(first)]
+    found = []
+    for start in range(0, codes.size, _CLASSIFY_CHUNK):
+        part = slice(start, start + _CLASSIFY_CHUNK)
+        m = mats[part]
+        abs_tr = np.abs(m[:, 0, 0] + m[:, 1, 1])
+        keep = _cyclically_reduced(codes[part], n)
+        low = keep & (abs_tr <= 2.0 + _TRACE_TOL)
+        if np.any(low):
+            bad_mats = m[low]
+            signs = np.sign(bad_mats[:, 0, 0])[:, None, None]
+            dev = np.max(np.abs(bad_mats - signs * np.eye(2)), axis=(1, 2))
+            if np.any(dev > 1e-6):
+                i = int(np.argmax(dev))
+                raise RuntimeError(
+                    "non-identity word with |trace| <= 2 encountered "
+                    f"(|trace|={abs_tr[low][i]}, deviation from identity "
+                    f"{dev[i]}): the group is not cocompact torsion-free "
+                    "or the matrices have drifted")
+            keep &= ~low
+        first = _class_firsts(codes[part][keep], inv[part][keep], n)
+        found.append(abs_tr[keep][first])
+    return np.concatenate(found)
+
+
+def _merge_rows(sorted_lengths: np.ndarray) -> List[Tuple[float, int]]:
+    """Spectrum rows (length, multiplicity) of ascending class lengths.
+
+    A length joins the current row when it exceeds the row's first
+    length by at most _LENGTH_MERGE_TOL, and starts a new row
+    otherwise; each length adds 2 to its row, one merged class being 2
+    oriented geodesics.  A gap above the tolerance to the previous
+    length starts a row, since rounded subtraction is monotone and the
+    row's first length is no larger.  Then, until no length is left
+    out, each length is checked against the first length of its row so
+    far, and the first one of each row that lies too far from it starts
+    a row: the lengths before it are that row's for good.
+    """
+    ell = sorted_lengths
+    index = np.arange(ell.size)
+    starts = np.ones(ell.size, dtype=bool)
+    starts[1:] = ell[1:] - ell[:-1] > _LENGTH_MERGE_TOL
+    while True:
+        anchor = np.maximum.accumulate(np.where(starts, index, 0))
+        late = np.flatnonzero(ell - ell[anchor] > _LENGTH_MERGE_TOL)
+        if not late.size:
+            break
+        row = anchor[late]
+        starts[late[np.r_[True, row[1:] != row[:-1]]]] = True
+    firsts = np.flatnonzero(starts)
+    mults = 2 * np.diff(np.append(firsts, ell.size))
+    return list(zip(ell[firsts].tolist(), mults.tolist()))
 
 
 def enumerate_spectrum(letters: np.ndarray,
@@ -282,13 +344,7 @@ def enumerate_spectrum(letters: np.ndarray,
                      for frontier in _frontiers(letters, max_word_len)]
 
     horizon = float(np.min(lengths_per_n[-1])) if lengths_per_n[-1].size else 0.0
-    all_lengths = np.sort(np.concatenate(lengths_per_n))
-    entries: List[Tuple[float, int]] = []
-    for ell in all_lengths:
-        if entries and ell - entries[-1][0] <= _LENGTH_MERGE_TOL:
-            entries[-1] = (entries[-1][0], entries[-1][1] + 2)
-        else:
-            entries.append((float(ell), 2))
+    entries = _merge_rows(np.sort(np.concatenate(lengths_per_n)))
     source = (f"bolza-octagon word-enumeration L={max_word_len}; "
               "conjugacy=cyclic-words+trace-clustering (word-level)")
     return LengthSpectrum(entries=entries, genus=2, source=source,
@@ -486,8 +542,18 @@ def selberg_Z(s: float, sp: LengthSpectrum) -> SpecialValue:
 
 
 def _log_euler_zeta(s: float, sp: LengthSpectrum) -> Tuple[float, float]:
-    """log prod_P (1 - N(P)^-s)^-1 and a bound on its rounding error."""
-    return _log_factors(sp.lengths, s, np.exp(sp.lengths * -s), sp.mults)
+    """log prod_P (1 - N(P)^-s)^-1 and a bound on its rounding error.
+
+    Raises DomainError where a length is so short that N(P)^-s rounds
+    to 1, which would make its factor infinite.
+    """
+    q = np.exp(sp.lengths * -s)
+    # the lengths increase, so the first q is the largest
+    if q.size and q[0] == 1.0:
+        raise DomainError(
+            f"exp(-{sp.entries[0][0]!r} s) rounds to 1 at s = {s}: the "
+            "Euler factor of that length cannot be evaluated as a float")
+    return _log_factors(sp.lengths, s, q, sp.mults)
 
 
 def euler_zeta(s: float, sp: LengthSpectrum) -> SpecialValue:
@@ -499,7 +565,7 @@ def euler_zeta(s: float, sp: LengthSpectrum) -> SpecialValue:
     if not 1.0 + 1e-3 < s < math.inf:
         raise DomainError(f"euler_zeta requires 1 + 1e-3 < s < inf, got s={s}")
     log_v, err = _log_euler_zeta(s, sp)
-    v = math.exp(log_v)
+    v = _exp(log_v, f"euler_zeta({s})")
     return SpecialValue(v, v * (err + _EPS))
 
 
@@ -515,6 +581,9 @@ def zeta_motive_numeric(f: LaurentPoly, s: float,
             raise DomainError(
                 f"motive factor k={k} needs 1 + 1e-3 < s - k < inf, "
                 f"got s - k = {s - k}")
+    # the zero motive has no factor to check s against
+    if not math.isfinite(s):
+        raise DomainError(f"zeta_motive_numeric requires a finite s, got s={s}")
     log_v = 0.0
     err = 0.0
     scale = 0.0
@@ -523,7 +592,7 @@ def zeta_motive_numeric(f: LaurentPoly, s: float,
         log_v += a * log_part
         err += abs(a) * part_err
         scale += abs(a * log_part)
-    v = math.exp(log_v)
+    v = _exp(log_v, f"zeta_motive_numeric({s})")
     return SpecialValue(v, v * (err + _EPS * (len(f.coeffs) * scale + 1.0)))
 
 

@@ -242,7 +242,8 @@ def test_zeta_eval_domain_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("s", ["nan", "inf"])
-@pytest.mark.parametrize("fn", [("--fn", "zeta"), ("--motive=-1=1,0=-1",)])
+@pytest.mark.parametrize("fn", [("--fn", "zeta"), ("--motive=-1=1,0=-1",),
+                                ("--motive=0=0",)])
 def test_zeta_eval_non_finite_s_exit_2(capsys, tmp_path, fn, s):
     spath = str(tmp_path / "sp.txt")
     run(capsys, "spectrum", "bolza", "--max-word-len", "2", "--out", spath)
@@ -250,6 +251,29 @@ def test_zeta_eval_non_finite_s_exit_2(capsys, tmp_path, fn, s):
                          "--s", s, *fn)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.endswith(f"{s}\n")
+
+
+def test_zeta_eval_zero_motive_is_one(capsys, tmp_path):
+    spath = str(tmp_path / "sp.txt")
+    run(capsys, "spectrum", "bolza", "--max-word-len", "2", "--out", spath)
+    code, out, _ = run(capsys, "zeta", "eval", "--spectrum", spath,
+                       "--s", "3", "--motive=0=0")
+    assert code == 0
+    assert out.startswith("value = 1.0000000000000000e+00\n")
+
+
+@pytest.mark.parametrize("argv", [("--s", "2"), ("--s", "2", "--fn", "Z"),
+                                  ("--s", "4", "--motive", "0=-1,1=1")])
+def test_zeta_eval_length_too_short_exit_2(capsys, tmp_path, recwarn, argv):
+    """exp(-1e-300 s) rounds to 1: one error line, no numpy warning."""
+    spath = tmp_path / "sp.txt"
+    spath.write_text("# genus=2\n# horizon=0\n1e-300 2\n3.0 2\n")
+    code, out, err = run(capsys, "zeta", "eval", "--spectrum", str(spath),
+                         *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: exp(-1e-300 s) rounds to 1 at s = ")
+    assert err.count("\n") == 1
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("xmax", ["inf", "1e400", "nan"])

@@ -18,8 +18,9 @@ from selbergfe.geodesics import (BOLZA_LENGTH, LengthSpectrum,
                                  enumerate_spectrum, euler_zeta,
                                  geodesic_count, load_spectrum, pgt_table,
                                  save_spectrum, selberg_Z, zeta_motive_numeric,
-                                 _canonical_codes, _cyclically_reduced,
-                                 _frontiers)
+                                 _class_firsts, _classify_frontier,
+                                 _cyclically_reduced, _frontiers,
+                                 _merge_rows)
 from selbergfe.laurent import LaurentPoly
 from selbergfe.special import DomainError
 
@@ -122,15 +123,41 @@ def reduced_words(draw):
 
 @given(reduced_words())
 @settings(max_examples=400)
-def test_canonical_codes_against_tuple_rotations(word):
+def test_class_firsts_against_tuple_rotations(word):
+    """Fed a whole class, the mask marks exactly the member whose
+    reversed word is least, or none when the word is a proper power."""
     n = len(word)
-    rotations = [w[r:] + w[:r] for w in (word, _inverse(word))
-                 for r in range(n)]
-    canonical, periodic = _canonical_codes(
-        np.array([_code(word)], dtype=np.int64),
-        np.array([_code(_inverse(word))], dtype=np.int64), n)
-    assert canonical.tolist() == [min(_code(w) for w in rotations)]
-    assert periodic.tolist() == [word in rotations[1:n]]
+    members = sorted({w[r:] + w[:r] for w in (word, _inverse(word))
+                      for r in range(n)})
+    first = _class_firsts(
+        np.array([_code(w) for w in members], dtype=np.int64),
+        np.array([_code(_inverse(w)) for w in members], dtype=np.int64), n)
+    periodic = any(word[r:] + word[:r] == word for r in range(1, n))
+    least = min(members, key=lambda w: w[::-1])
+    assert first.tolist() == [w == least and not periodic for w in members]
+
+
+def test_classify_frontier_aborts_on_elliptic_word(bolza, monkeypatch):
+    """A rotation (|trace| 1) past the first chunk stops the
+    classification with the elliptic-word error."""
+    monkeypatch.setattr(geodesics, "_CLASSIFY_CHUNK", 7)
+    for n, codes, inv, mats in _frontiers(bolza, 2):
+        pass
+    mats = mats.copy()
+    i = 7 + int(np.flatnonzero(_cyclically_reduced(codes[7:], n))[0])
+    angle = math.pi / 3
+    mats[i] = [[math.cos(angle), math.sin(angle)],
+               [-math.sin(angle), math.cos(angle)]]
+    with pytest.raises(RuntimeError, match=re.escape(
+            "non-identity word with |trace| <= 2 encountered (|trace|=")):
+        _classify_frontier(n, codes, inv, mats)
+
+
+def test_merge_rows_anchors_on_row_first():
+    """A length joins a row by its distance from the row's first length,
+    not from the previous length: chaining would give rows 6 and 2."""
+    rows = _merge_rows(np.array([1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9, 5.0]))
+    assert rows == [(1.0, 4), (1.0 + 1.2e-9, 2), (5.0, 2)]
 
 
 def test_spectrum_word_length_one(bolza):
@@ -180,12 +207,23 @@ SPECTRUM_SHA256 = {
 }
 
 
+def _spectrum_sha256(sp, tmp_path):
+    path = tmp_path / "sp.txt"
+    save_spectrum(sp, str(path))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("max_word_len", sorted(SPECTRUM_SHA256))
 def test_spectrum_file_golden(bolza, tmp_path, max_word_len):
-    path = tmp_path / "sp.txt"
-    save_spectrum(enumerate_spectrum(bolza, max_word_len), str(path))
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = _spectrum_sha256(enumerate_spectrum(bolza, max_word_len),
+                              tmp_path)
     assert digest == SPECTRUM_SHA256[max_word_len]
+
+
+def test_spectrum_independent_of_chunk(bolza, tmp_path, monkeypatch):
+    monkeypatch.setattr(geodesics, "_CLASSIFY_CHUNK", 7)
+    digest = _spectrum_sha256(enumerate_spectrum(bolza, 5), tmp_path)
+    assert digest == SPECTRUM_SHA256[5]
 
 
 def test_spectrum_multiplicities_even(spectrum5):
@@ -434,6 +472,13 @@ def test_euler_zeta_rejects_non_finite(spectrum5, s):
         euler_zeta(s, spectrum5)
     with pytest.raises(DomainError, match=f"got s - k = {s}"):
         zeta_motive_numeric(LaurentPoly({-1: 1, 0: -1}), s, spectrum5)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+def test_zero_motive_rejects_non_finite(spectrum5, s):
+    with pytest.raises(DomainError, match=f"got s={s}"):
+        zeta_motive_numeric(LaurentPoly({}), s, spectrum5)
+    assert zeta_motive_numeric(LaurentPoly({}), 3.0, spectrum5).value == 1.0
 
 
 @pytest.mark.parametrize("ell", [1e-3, 1e-6])
