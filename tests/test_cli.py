@@ -253,15 +253,6 @@ def test_zeta_eval_non_finite_s_exit_2(capsys, tmp_path, fn, s):
     assert err.startswith("error: ") and err.endswith(f"{s}\n")
 
 
-def test_zeta_eval_zero_motive_is_one(capsys, tmp_path):
-    spath = str(tmp_path / "sp.txt")
-    run(capsys, "spectrum", "bolza", "--max-word-len", "2", "--out", spath)
-    code, out, _ = run(capsys, "zeta", "eval", "--spectrum", spath,
-                       "--s", "3", "--motive=0=0")
-    assert code == 0
-    assert out.startswith("value = 1.0000000000000000e+00\n")
-
-
 @pytest.mark.parametrize("argv", [("--s", "2"), ("--s", "2", "--fn", "Z"),
                                   ("--s", "4", "--motive", "0=-1,1=1")])
 def test_zeta_eval_length_too_short_exit_2(capsys, tmp_path, recwarn, argv):
