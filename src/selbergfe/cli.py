@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import formal, geodesics, laurent, special
 from .laurent import SymmetryKind
@@ -22,22 +21,6 @@ _CONFIG_KEYS = {
     "euler_maclaurin_cutoff": int,
     "bernoulli_terms": int,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    genus: int = 2
-    # the evaluator's own defaults: SpecialEvaluator is their one source
-    euler_maclaurin_cutoff: int = special.SpecialEvaluator.euler_maclaurin_cutoff
-    bernoulli_terms: int = special.SpecialEvaluator.bernoulli_terms
-
-    def __post_init__(self):
-        if self.genus < 2:
-            raise ValueError(f"genus must be >= 2, got {self.genus}")
-
-    def evaluator(self) -> special.SpecialEvaluator:
-        return special.SpecialEvaluator(self.euler_maclaurin_cutoff,
-                                        self.bernoulli_terms)
 
 
 def load_config(path: str) -> dict:
@@ -56,6 +39,16 @@ def load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = _CONFIG_KEYS[key](raw.strip())
     return values
+
+
+def _surface(args) -> Tuple[special.SurfaceParams, special.SpecialEvaluator]:
+    """The surface and evaluator of `special eval` and `special check`:
+    the --config file's values, with --genus winning over its genus."""
+    values = load_config(args.config) if args.config else {}
+    if args.genus is not None:
+        values["genus"] = args.genus
+    params = special.SurfaceParams(values.pop("genus", 2))
+    return params, special.SpecialEvaluator(**values)
 
 
 def _fmt(v) -> str:
@@ -83,7 +76,7 @@ class _Output:
 
 # -- subcommand implementations ------------------------------------------
 
-def _cmd_motive_analyze(args, cfg: RunConfig, out: _Output) -> int:
+def _cmd_motive_analyze(args, out: _Output) -> int:
     f = laurent.parse_poly(args.poly)
     auto = laurent.detect_automorphy(f)
     out.write(f"poly = {laurent.format_poly(f)}")
@@ -107,7 +100,7 @@ def _cmd_motive_analyze(args, cfg: RunConfig, out: _Output) -> int:
     return 0
 
 
-def _cmd_fe_verify(args, cfg: RunConfig, out: _Output) -> int:
+def _cmd_fe_verify(args, out: _Output) -> int:
     f = laurent.parse_poly(args.poly)
     auto = laurent.detect_automorphy(f)
     if args.d is None:
@@ -154,7 +147,7 @@ def _cmd_fe_verify(args, cfg: RunConfig, out: _Output) -> int:
     return 0 if v.holds else 1
 
 
-def _cmd_fe_derive_base(args, cfg: RunConfig, out: _Output) -> int:
+def _cmd_fe_derive_base(args, out: _Output) -> int:
     v = formal.derive_base_zeta_fe()
     out.write("claim: zeta_M(-s) zeta_M(s) = (2 sin pi s)^(4-4g)")
     out.write(f"derived = {formal.format_product(v.lhs_canonical)}")
@@ -163,9 +156,8 @@ def _cmd_fe_derive_base(args, cfg: RunConfig, out: _Output) -> int:
     return 0 if v.holds else 1
 
 
-def _cmd_special_eval(args, cfg: RunConfig, out: _Output) -> int:
-    ev = cfg.evaluator()
-    params = special.SurfaceParams(cfg.genus)
+def _cmd_special_eval(args, out: _Output) -> int:
+    params, ev = _surface(args)
     fn = args.fn
     if fn == "gamma2":
         sv = special.gamma_r(2, args.s, ev)
@@ -188,14 +180,14 @@ def _cmd_special_eval(args, cfg: RunConfig, out: _Output) -> int:
     return 0
 
 
-def _cmd_special_check(args, cfg: RunConfig, out: _Output) -> int:
-    ev = cfg.evaluator()
+def _cmd_special_check(args, out: _Output) -> int:
+    params, ev = _surface(args)
     if args.identity == "ode":
         rows = special.check_ode(ev)
     elif args.identity == "ladder":
         rows = special.check_ladder(ev)
     elif args.identity == "fe-integral":
-        rows = special.check_fe_integral(cfg.genus, ev)
+        rows = special.check_fe_integral(params.genus, ev)
     else:
         rows = special.check_reduction(ev)
     out.write("identity,point,lhs,rhs,error,tolerance,status")
@@ -209,18 +201,18 @@ def _cmd_special_check(args, cfg: RunConfig, out: _Output) -> int:
     return 0 if ok else 1
 
 
-def _cmd_spectrum_bolza(args, cfg: RunConfig, out: _Output) -> int:
+def _cmd_spectrum_bolza(args, out: _Output) -> int:
     sp = geodesics.enumerate_spectrum(geodesics.bolza_group(),
                                       args.max_word_len)
-    geodesics.save_spectrum(sp, args.out)
+    geodesics.save_spectrum(sp, args.spectrum_out)
     out.write(f"wrote {len(sp.entries)} length entries "
-              f"({sp.total_classes()} classes) to {args.out}")
+              f"({sp.total_classes()} classes) to {args.spectrum_out}")
     out.write(f"systole = {_fmt(sp.entries[0][0])}")
     out.write(f"horizon = {_fmt(sp.horizon)}")
     return 0
 
 
-def _cmd_zeta_eval(args, cfg: RunConfig, out: _Output) -> int:
+def _cmd_zeta_eval(args, out: _Output) -> int:
     sp = geodesics.load_spectrum(args.spectrum)
     if args.motive is not None:
         if args.fn == "Z":
@@ -236,7 +228,7 @@ def _cmd_zeta_eval(args, cfg: RunConfig, out: _Output) -> int:
     return 0
 
 
-def _cmd_pgt(args, cfg: RunConfig, out: _Output) -> int:
+def _cmd_pgt(args, out: _Output) -> int:
     sp = geodesics.load_spectrum(args.spectrum)
     if args.points < 1:
         raise ValueError("--points must be >= 1")
@@ -264,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="selbergfe",
         description="Functional equations and numerics for Selberg zeta "
                     "functions twisted by integer Laurent polynomials.")
-    parser.add_argument("--config", help="key=value config file (flags win)")
-    parser.add_argument("--genus", type=int, help="surface genus (>= 2)")
     parser.add_argument("--out", help="write output to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -287,16 +277,24 @@ def build_parser() -> argparse.ArgumentParser:
                               help="re-derive the base zeta reflection")
     derive.set_defaults(func=_cmd_fe_derive_base)
 
+    # the surface and evaluator settings, read by `special eval` and
+    # `special check` only
+    surface = argparse.ArgumentParser(add_help=False)
+    surface.add_argument("--config", help="key=value config file (flags win)")
+    surface.add_argument("--genus", type=int, help="surface genus (>= 2)")
+
     sp = sub.add_parser("special", help="special-function numerics")
     spsub = sp.add_subparsers(dest="subcommand", required=True)
-    ev = spsub.add_parser("eval", help="evaluate one special function")
+    ev = spsub.add_parser("eval", parents=[surface],
+                          help="evaluate one special function")
     ev.add_argument("--fn", required=True,
                     choices=["gamma2", "s2", "zr", "gammaM", "sM", "fe-factor"])
     ev.add_argument("--s", type=float, required=True)
     ev.add_argument("--r", type=int, default=2)
     ev.add_argument("--w", type=complex, default=None)
     ev.set_defaults(func=_cmd_special_eval)
-    check = spsub.add_parser("check", help="run an identity check grid")
+    check = spsub.add_parser("check", parents=[surface],
+                             help="run an identity check grid")
     check.add_argument("--identity", required=True,
                        choices=["ode", "ladder", "fe-integral", "reduction"])
     check.set_defaults(func=_cmd_special_check)
@@ -305,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum_sub = spectrum.add_subparsers(dest="subcommand", required=True)
     bolza = spectrum_sub.add_parser("bolza", help="enumerate the Bolza spectrum")
     bolza.add_argument("--max-word-len", type=int, required=True)
-    bolza.add_argument("--out", required=True, dest="out")
+    bolza.add_argument("--out", required=True, dest="spectrum_out",
+                       help="write the spectrum file to this path")
     bolza.set_defaults(func=_cmd_spectrum_bolza)
 
     zeta = sub.add_parser("zeta", help="Euler products over a spectrum")
@@ -333,15 +332,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        values = load_config(args.config) if args.config else {}
-        if args.genus is not None:
-            values["genus"] = args.genus
-        cfg = RunConfig(**values)
-        # for `spectrum bolza`, --out names the spectrum file itself and
-        # the status report goes to stdout
-        spectrum_out = getattr(args, "func", None) is _cmd_spectrum_bolza
-        out = _Output(None if spectrum_out else args.out)
-        code = args.func(args, cfg, out)
+        out = _Output(args.out)
+        code = args.func(args, out)
         out.flush()
         return code
     except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:

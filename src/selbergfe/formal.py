@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional
 
-from .laurent import LaurentPoly, SymmetryKind, detect_automorphy
+from .laurent import (LaurentPoly, SymmetryKind, detect_automorphy,
+                      eval_at_one, has_symmetry)
 
 # key = 4*shift + family, so family = key & 3 and shift = key >> 2, also
 # for shift < 0.  In a sweep that keeps its verdicts alive, with
@@ -138,23 +139,14 @@ class Verdict:
 
 # -- constructors from a motive ------------------------------------------
 
-# Functions of a LaurentPoly f read its coefficients through f.coeffs,
-# which copies them; a verdict copies them once and passes that dict c
-# to the private cores below.
-
-def _packed(c: Dict[int, int], family: int) -> FormalProduct:
-    """prod_k F(s-k)^c[k] for the family F."""
-    return _wrap({4 * k + family: a for k, a in c.items()})
-
-
 def from_motive_zeta(f: LaurentPoly) -> FormalProduct:
     """zeta_{M(f)}(s) = prod_k zeta_M(s-k)^a(k)."""
-    return _packed(f.coeffs, _ZETA)
+    return _wrap({4 * k + _ZETA: a for k, a in f.coeffs.items()})
 
 
 def from_motive_Z(f: LaurentPoly) -> FormalProduct:
     """Z_{M(f)}(s) = prod_k Z_M(s-k)^a(k)."""
-    return _packed(f.coeffs, _BIGZ)
+    return _wrap({4 * k + _BIGZ: a for k, a in f.coeffs.items()})
 
 
 # -- reflections ---------------------------------------------------------
@@ -167,12 +159,8 @@ def reflect_zeta(f: LaurentPoly, D: int) -> FormalProduct:
     exponent is the even number 4-4g, so every factor contributes two
     (2-2g)-units of sine per unit coefficient.
     """
-    return _reflect_zeta(f.coeffs, D)
-
-
-def _reflect_zeta(c: Dict[int, int], D: int) -> FormalProduct:
-    exp = {4 * (D - k) + _ZETA: -a for k, a in c.items()}
-    q = 2 * sum(c.values())
+    exp = {4 * (D - k) + _ZETA: -a for k, a in f.coeffs.items()}
+    q = 2 * eval_at_one(f)
     if q:
         exp[_SIN] = q
     return _wrap(exp)
@@ -184,10 +172,7 @@ def reflect_Z(f: LaurentPoly, D: int) -> FormalProduct:
     Each Z_M((D+1-k)-s) becomes, via the symmetric base rule,
     Z_M(s-(D-k)) S_2(s+(k-D))^(2-2g) S_2(s+(k-D)+1)^(2-2g).
     """
-    return _reflect_Z(f.coeffs, D)
-
-
-def _reflect_Z(c: Dict[int, int], D: int) -> FormalProduct:
+    c = f.coeffs
     lower = {4 * (D - k) + _BIGZ: a for k, a in c.items()}
     lower.update((4 * (k - D) + _S2, a) for k, a in c.items())
     return _add(lower, {4 * (k - D + 1) + _S2: a for k, a in c.items()})
@@ -195,10 +180,7 @@ def _reflect_Z(c: Dict[int, int], D: int) -> FormalProduct:
 
 def s_motive_factor(f: LaurentPoly) -> FormalProduct:
     """Canonical form of prod_k (S_2(s-k) S_2(s-k+1))^((2-2g) a(k))."""
-    return _s_motive_factor(f.coeffs)
-
-
-def _s_motive_factor(c: Dict[int, int]) -> FormalProduct:
+    c = f.coeffs
     return canonicalize(_add({4 * -k + _S2: a for k, a in c.items()},
                              {4 * (1 - k) + _S2: a for k, a in c.items()}))
 
@@ -238,24 +220,17 @@ def quotient(a: FormalProduct, b: FormalProduct,
 
 # -- theorem-level verifiers ---------------------------------------------
 
-def _coeff_condition(c: Dict[int, int], D: int, sign: int) -> bool:
-    # checking k over the support suffices: the condition at k and at
-    # D-k are equivalent for sign = +-1, and both-zero cases are vacuous
-    return all(c.get(D - k, 0) == sign * a for k, a in c.items())
-
-
 def verify_theorem2(f: LaurentPoly, D: int) -> Verdict:
     """Does zeta_{M(f)}(D-s) = zeta_{M(f)}(s) hold as a formal identity?
 
     Also evaluates the coefficient test a(D-k) = -a(k) so callers can
     confirm the two conditions agree.
     """
-    c = f.coeffs
-    lhs = canonicalize(_reflect_zeta(c, D))
-    rhs = canonicalize(_packed(c, _ZETA))
+    lhs = canonicalize(reflect_zeta(f, D))
+    rhs = canonicalize(from_motive_zeta(f))
     res = quotient(lhs, rhs)
     return Verdict(res.is_empty(), lhs, rhs, res,
-                   coefficient_condition=_coeff_condition(c, D, -1))
+                   coefficient_condition=has_symmetry(f, D, -1))
 
 
 def verify_theorem3(f: LaurentPoly, D: int) -> Verdict:
@@ -264,13 +239,12 @@ def verify_theorem3(f: LaurentPoly, D: int) -> Verdict:
     The sine target is 2 f(1) in (2-2g)-units; the coefficient test is
     a(D-k) = a(k).
     """
-    c = f.coeffs
-    lhs = canonicalize(_reflect_zeta(c, D))
-    rhs = canonicalize(_packed(c, _ZETA).inverse()
-                       * FormalProduct(sin_exp=2 * sum(c.values())))
+    lhs = canonicalize(reflect_zeta(f, D))
+    rhs = canonicalize(from_motive_zeta(f).inverse()
+                       * FormalProduct(sin_exp=2 * eval_at_one(f)))
     res = quotient(lhs, rhs)
     return Verdict(res.is_empty(), lhs, rhs, res,
-                   coefficient_condition=_coeff_condition(c, D, +1))
+                   coefficient_condition=has_symmetry(f, D, +1))
 
 
 def verify_Z_fe(f: LaurentPoly) -> Verdict:
@@ -281,9 +255,8 @@ def verify_Z_fe(f: LaurentPoly) -> Verdict:
             f"f has no reflection symmetry (kind={auto.kind.value}); "
             "the Z functional equation requires one")
     C, D = auto.C, auto.D
-    c = f.coeffs
-    lhs = canonicalize(_reflect_Z(c, D))
-    rhs = canonicalize((_packed(c, _BIGZ) * _s_motive_factor(c)) ** C)
+    lhs = canonicalize(reflect_Z(f, D))
+    rhs = canonicalize((from_motive_Z(f) * s_motive_factor(f)) ** C)
     res = quotient(lhs, rhs)
     return Verdict(res.is_empty(), lhs, rhs, res)
 

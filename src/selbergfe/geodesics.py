@@ -52,7 +52,8 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .laurent import LaurentPoly
-from .special import _FLOAT_MIN, DomainError, SpecialValue, _exp, _normal
+from .special import (_FLOAT_MIN, DomainError, SpecialValue, SurfaceParams,
+                      _exp, _normal)
 
 _TRACE_TOL = 1e-9
 _LENGTH_MERGE_TOL = 1e-9
@@ -90,8 +91,7 @@ class LengthSpectrum:
     cum_mults: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.genus < 2:
-            raise ValueError(f"genus must be >= 2, got {self.genus}")
+        SurfaceParams(self.genus)  # the one genus rule: ValueError below 2
         entries = tuple(self.entries)
         n = len(entries)
         lengths = np.fromiter(map(itemgetter(0), entries), np.float64, n)

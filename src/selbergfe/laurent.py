@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Tuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Tuple
 
 
 class SymmetryKind(Enum):
@@ -38,25 +39,25 @@ class LaurentPoly:
     """Canonical sparse Laurent polynomial with exact integer coefficients.
 
     No zero coefficient is ever stored; equality is coefficient-wise.
-    Instances are immutable by convention (the coefficient dict is
-    private and copied on access).
+    `coeffs` is a read-only view (MappingProxyType) of the private
+    exponent -> coefficient dict, built once in __init__: reading it
+    allocates nothing, and item assignment raises TypeError.  Nothing
+    outside the instance holds the dict, and neither attribute is
+    rebound after __init__, so instances are immutable by convention.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "coeffs")
 
-    def __init__(self, coeffs: Optional[dict] = None):
+    def __init__(self, coeffs: Optional[Mapping[int, int]] = None):
         clean = {}
         if coeffs:
             for k, a in coeffs.items():
                 if a != 0:
                     clean[int(k)] = int(a)
         self._coeffs = clean
+        self.coeffs = MappingProxyType(clean)
 
     # -- basic accessors -------------------------------------------------
-
-    @property
-    def coeffs(self) -> dict:
-        return dict(self._coeffs)
 
     def __getitem__(self, k: int) -> int:
         return self._coeffs.get(k, 0)
@@ -163,27 +164,25 @@ def detect_automorphy(f: LaurentPoly) -> AutomorphyClass:
     if f.is_zero():
         return AutomorphyClass(SymmetryKind.ZERO)
     D = f.min_exp + f.max_exp
-    rev = reverse(f, D)
-    if rev == -f:
+    if has_symmetry(f, D, -1):
         return AutomorphyClass(SymmetryKind.ODD, D=D, C=-1)
-    if rev == f:
+    if has_symmetry(f, D, +1):
         return AutomorphyClass(SymmetryKind.EVEN, D=D, C=+1)
     return AutomorphyClass(SymmetryKind.NONE)
 
 
 def has_symmetry(f: LaurentPoly, D: int, C: int) -> bool:
-    """Check f(x^-1) = C x^-D f(x) for a caller-supplied weight D.
+    """Check f(x^-1) = C x^-D f(x), that is a(D-k) = C a(k) for all k.
 
     For nonzero f this is false whenever D differs from the forced
     value min_exp + max_exp; f = 0 satisfies both signs for every D.
     """
     if C not in (-1, 1):
         raise ValueError("C must be +1 or -1")
-    if f.is_zero():
-        return True
-    if C == -1:
-        return reverse(f, D) == -f
-    return reverse(f, D) == f
+    c = f._coeffs
+    # checking k over the support suffices: the condition at k and at
+    # D-k are equivalent for C = +-1, and both-zero cases are vacuous
+    return all(c.get(D - k, 0) == C * a for k, a in c.items())
 
 
 # -- the CLI text syntax -------------------------------------------------

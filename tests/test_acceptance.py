@@ -8,6 +8,7 @@ to see the lines for passing criteria too).
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ def test_criterion_08_bolza_pipeline(bolza, pipeline8):
     ok = ok and bool((dev < 1e-9).any())
 
     # determinism: two runs write byte-identical spectrum files
-    ok = ok and open(p1, "rb").read() == open(p2, "rb").read()
+    ok = ok and Path(p1).read_bytes() == Path(p2).read_bytes()
     ok = ok and abs(sp1.entries[0][0] - 2 * math.acosh(1 + math.sqrt(2))) < 1e-10
     ok = ok and abs(sp1.entries[0][0] - BOLZA_LENGTH) < 1e-10
     ok = ok and elapsed < 300.0

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from selbergfe import geodesics, special
-from selbergfe.cli import RunConfig, load_config, main
+from selbergfe import geodesics
+from selbergfe.cli import load_config, main
 
 
 def run(capsys, *argv):
@@ -153,7 +153,7 @@ def test_special_eval_zr_exact_at_negative_integer(capsys):
     # (n + s)^400.5 overflows in the kernel
     ("special", "eval", "--fn", "zr", "--r", "1", "--w=-400.5", "--s", "2"),
     # (S_2(s) S_2(s+1))^(2-2g) overflows in s_M itself
-    ("--genus", "100000", "special", "eval", "--fn", "sM", "--s", "0.3"),
+    ("special", "eval", "--genus", "100000", "--fn", "sM", "--s", "0.3"),
 ])
 def test_special_eval_overflow_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -162,7 +162,7 @@ def test_special_eval_overflow_exit_2(capsys, argv):
 
 
 def test_special_eval_overflow_names_the_call(capsys):
-    code, out, err = run(capsys, "--genus", "100000", "special", "eval",
+    code, out, err = run(capsys, "special", "eval", "--genus", "100000",
                          "--fn", "sM", "--s", "0.3")
     assert (code, out) == (2, "")
     assert err == ("error: s_M(0.3) at genus 100000 = inf lies outside the "
@@ -186,7 +186,7 @@ def test_special_eval_zr_needs_w(capsys):
 
 def test_special_check_identities(capsys):
     for identity in ("ode", "ladder", "fe-integral", "reduction"):
-        code, out, _ = run(capsys, "--genus", "2", "special", "check",
+        code, out, _ = run(capsys, "special", "check", "--genus", "2",
                            "--identity", identity)
         assert code == 0, identity
         assert "overall: PASS" in out
@@ -226,10 +226,11 @@ def test_spectrum_zeta_pgt_pipeline(capsys, tmp_path):
     assert code == 0
 
     out_csv = str(tmp_path / "pgt.csv")
-    code, _, _ = run(capsys, "--out", out_csv, "pgt", "--spectrum", spath,
-                     "--xmax", "50", "--points", "5")
+    with pytest.warns(UserWarning, match="completeness horizon"):
+        code, _, _ = run(capsys, "--out", out_csv, "pgt", "--spectrum", spath,
+                         "--xmax", "50", "--points", "5")
     assert code == 0
-    lines = open(out_csv).read().strip().splitlines()
+    lines = (tmp_path / "pgt.csv").read_text().strip().splitlines()
     assert lines[0] == "x,count,x_over_logx,ratio"
     assert len(lines) == 6
 
@@ -309,7 +310,7 @@ def test_usage_error_exit_2(capsys):
 def test_config_file(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("genus = 3\neuler_maclaurin_cutoff = 32\n")
-    code, out, _ = run(capsys, "--config", str(cfg), "special", "check",
+    code, out, _ = run(capsys, "special", "check", "--config", str(cfg),
                        "--identity", "fe-integral")
     assert code == 0
 
@@ -317,10 +318,11 @@ def test_config_file(capsys, tmp_path):
 def test_config_flags_win(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("genus = 1\n")  # invalid on its own
-    code, _, err = run(capsys, "--config", str(cfg), "fe", "derive-base")
+    code, _, err = run(capsys, "special", "check", "--config", str(cfg),
+                       "--identity", "ladder")
     assert code == 2
-    code, _, _ = run(capsys, "--config", str(cfg), "--genus", "2",
-                     "fe", "derive-base")
+    code, _, _ = run(capsys, "special", "check", "--config", str(cfg),
+                     "--genus", "2", "--identity", "ladder")
     assert code == 0
 
 
@@ -338,16 +340,41 @@ def test_removed_knobs_rejected(capsys, tmp_path, key):
     cfg.write_text(f"{key} = 1\n")
     with pytest.raises(ValueError, match="unknown config key"):
         load_config(str(cfg))
-    code, _, _ = run(capsys, "--config", str(cfg), "fe", "derive-base")
-    assert code == 2
+    code, _, err = run(capsys, "special", "check", "--config", str(cfg),
+                       "--identity", "ladder")
+    assert code == 2 and "unknown config key" in err
     code, _, _ = run(capsys, "--threads", "2", "fe", "derive-base")
     assert code == 2
 
 
-def test_runconfig_defaults_are_the_evaluators():
-    assert RunConfig().evaluator() == special.SpecialEvaluator()
+@pytest.mark.parametrize("command", [
+    ("zeta", "eval", "--spectrum", "sp.txt", "--s", "2"),
+    ("spectrum", "bolza", "--max-word-len", "2", "--out", "new.txt"),
+    ("fe", "derive-base"),
+])
+@pytest.mark.parametrize("option", [("--genus", "3"), ("--config", "run.cfg")])
+def test_surface_options_only_on_special(capsys, tmp_path, monkeypatch,
+                                         command, option):
+    # --genus and --config belong to `special eval` and `special check`;
+    # before any other command they are usage errors, not ignored
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("genus = 3\n")
+    (tmp_path / "sp.txt").write_text("# genus=2\n# horizon=3\n3.0 2\n")
+    assert run(capsys, *command)[0] == 0
+    (tmp_path / "new.txt").unlink(missing_ok=True)
+    code, out, _ = run(capsys, *option, *command)
+    assert (code, out) == (2, "")
+    assert not (tmp_path / "new.txt").exists()
 
 
-def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig(genus=1)
+def test_spectrum_bolza_status_to_top_level_out(capsys, tmp_path):
+    status, spath = tmp_path / "status.txt", tmp_path / "sp.txt"
+    code, out, err = run(capsys, "--out", str(status), "spectrum", "bolza",
+                         "--max-word-len", "2", "--out", str(spath))
+    assert (code, out, err) == (0, "", "")
+    assert spath.read_text().startswith("# genus=2\n")
+    lines = status.read_text().splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("wrote ") and lines[0].endswith(f" to {spath}")
+    assert lines[1].startswith("systole = ")
+    assert lines[2].startswith("horizon = ")

@@ -107,6 +107,21 @@ def test_has_symmetry_rejects_wrong_D():
     assert not has_symmetry(f, 1, +1)
 
 
+def test_coeffs_is_one_read_only_view():
+    f = LaurentPoly({-1: 1, 0: 0, 2: -3})
+    assert f.coeffs is f.coeffs
+    assert f.coeffs == {-1: 1, 2: -3}
+    with pytest.raises(TypeError):
+        f.coeffs[0] = 5
+    assert f == LaurentPoly({-1: 1, 2: -3})
+
+
+@given(st.one_of(st.just(LaurentPoly()), small_polys), st.integers(-8, 8),
+       st.sampled_from([-1, 1]))
+def test_has_symmetry_matches_reverse(f, D, C):
+    assert has_symmetry(f, D, C) == (reverse(f, D) == (f if C == 1 else -f))
+
+
 def test_zero_satisfies_everything():
     for D in range(-3, 4):
         assert has_symmetry(LaurentPoly(), D, -1)
