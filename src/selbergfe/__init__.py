@@ -7,10 +7,10 @@ from .formal import (FormalProduct, Verdict, canonicalize, derive_base_zeta_fe,
                      from_motive_Z, from_motive_zeta, quotient, reflect_Z,
                      reflect_zeta, s_motive_factor, verify_theorem2,
                      verify_theorem3, verify_Z_fe)
-from .special import (DomainError, PoleError, SpecialEvaluator, SpecialValue,
-                      SurfaceParams, gamma_M, gamma_r, hurwitz_zeta,
-                      hurwitz_zeta_dw, log_gamma_r, multiple_hurwitz_zeta,
-                      s_M, selberg_fe_factor, sine_r)
+from .special import (DomainError, PoleError, SpecialValue, SurfaceParams,
+                      gamma_M, gamma_r, hurwitz_zeta, hurwitz_zeta_dw,
+                      log_gamma_r, multiple_hurwitz_zeta, s_M,
+                      selberg_fe_factor, sine_r)
 from .geodesics import (BOLZA_LENGTH, LengthSpectrum, bolza_group,
                         enumerate_spectrum, euler_zeta, geodesic_count,
                         load_spectrum, pgt_table, save_spectrum, selberg_Z,

@@ -4,52 +4,19 @@ Exit codes: 0 = success / identity verified, 1 = verification or
 identity check failed, 2 = usage, domain or numeric error (overflow,
 an enumeration that cannot go on), reported on one line.  All numeric output
 uses 17 significant decimal digits; tabular output is CSV, to stdout
-or to --out.
+or to --out.  An option is accepted only where it is read: a --genus,
+--r or --w that the chosen special function or identity ignores is a
+usage error, and nothing is read from a config file.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from . import formal, geodesics, laurent, special
 from .laurent import SymmetryKind
-
-_CONFIG_KEYS = {
-    "genus": int,
-    "euler_maclaurin_cutoff": int,
-    "bernoulli_terms": int,
-}
-
-
-def load_config(path: str) -> dict:
-    """Line-oriented key=value file; unknown keys are rejected."""
-    values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, raw = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _CONFIG_KEYS[key](raw.strip())
-    return values
-
-
-def _surface(args) -> Tuple[special.SurfaceParams, special.SpecialEvaluator]:
-    """The surface and evaluator of `special eval` and `special check`:
-    the --config file's values, with --genus winning over its genus."""
-    values = load_config(args.config) if args.config else {}
-    if args.genus is not None:
-        values["genus"] = args.genus
-    params = special.SurfaceParams(values.pop("genus", 2))
-    return params, special.SpecialEvaluator(**values)
-
 
 def _fmt(v) -> str:
     if isinstance(v, complex):
@@ -156,40 +123,57 @@ def _cmd_fe_derive_base(args, out: _Output) -> int:
     return 0 if v.holds else 1
 
 
+# the `special eval` functions that read --genus; --r and --w are read
+# by --fn zr only
+_GENUS_FNS = ("gammaM", "sM", "fe-factor")
+
+
+def _refuse(option: str, value, reader: str) -> None:
+    """ValueError where `option` was given to a call that does not read it."""
+    if value is not None:
+        raise ValueError(f"{option} is read only by {reader}")
+
+
 def _cmd_special_eval(args, out: _Output) -> int:
-    params, ev = _surface(args)
     fn = args.fn
+    if fn != "zr":
+        _refuse("--r", args.r, "--fn zr")
+        _refuse("--w", args.w, "--fn zr")
+    if fn not in _GENUS_FNS:
+        _refuse("--genus", args.genus, "--fn " + ", ".join(_GENUS_FNS))
     if fn == "gamma2":
-        sv = special.gamma_r(2, args.s, ev)
+        sv = special.gamma_r(2, args.s)
     elif fn == "s2":
-        sv = special.sine_r(2, args.s, ev)
+        sv = special.sine_r(2, args.s)
     elif fn == "zr":
         if args.w is None:
             raise ValueError("--fn zr requires --w")
-        sv = special.multiple_hurwitz_zeta(args.r, args.w, args.s, ev)
-    elif fn == "gammaM":
-        sv = special.gamma_M(args.s, params, ev)
-    elif fn == "sM":
-        sv = special.s_M(args.s, params, ev)
-    elif fn == "fe-factor":
-        sv = special.selberg_fe_factor(args.s, params)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown function {fn}")
+        sv = special.multiple_hurwitz_zeta(2 if args.r is None else args.r,
+                                           args.w, args.s)
+    else:
+        params = special.SurfaceParams(2 if args.genus is None else args.genus)
+        if fn == "gammaM":
+            sv = special.gamma_M(args.s, params)
+        elif fn == "sM":
+            sv = special.s_M(args.s, params)
+        else:
+            sv = special.selberg_fe_factor(args.s, params)
     out.write(f"value = {_fmt(sv.value)}")
     out.write(f"abs_err_estimate = {_fmt(sv.abs_err_estimate)}")
     return 0
 
 
 def _cmd_special_check(args, out: _Output) -> int:
-    params, ev = _surface(args)
+    if args.identity != "fe-integral":
+        _refuse("--genus", args.genus, "--identity fe-integral")
     if args.identity == "ode":
-        rows = special.check_ode(ev)
+        rows = special.check_ode()
     elif args.identity == "ladder":
-        rows = special.check_ladder(ev)
+        rows = special.check_ladder()
     elif args.identity == "fe-integral":
-        rows = special.check_fe_integral(params.genus, ev)
+        rows = special.check_fe_integral(2 if args.genus is None else args.genus)
     else:
-        rows = special.check_reduction(ev)
+        rows = special.check_reduction()
     out.write("identity,point,lhs,rhs,error,tolerance,status")
     ok = True
     for row in rows:
@@ -228,10 +212,17 @@ def _cmd_zeta_eval(args, out: _Output) -> int:
     return 0
 
 
+# each point costs a float, a row and an output line, a few hundred bytes
+# in all, so an unbounded --points runs out of memory; at the cap a table
+# takes about 35 MB and a second.  Checked before any point is built.
+_PGT_MAX_POINTS = 100_000
+
+
 def _cmd_pgt(args, out: _Output) -> int:
+    if not 1 <= args.points <= _PGT_MAX_POINTS:
+        raise ValueError(f"--points must be in 1..{_PGT_MAX_POINTS}, "
+                         f"got {args.points}")
     sp = geodesics.load_spectrum(args.spectrum)
-    if args.points < 1:
-        raise ValueError("--points must be >= 1")
     lo = 1.1
     if not 0.0 < args.xmax < math.inf or math.log(args.xmax) <= lo:
         raise ValueError(f"--xmax must be finite and exceed e^{lo:.2f}, "
@@ -251,12 +242,24 @@ def _cmd_pgt(args, out: _Output) -> int:
 
 # -- argument parsing ----------------------------------------------------
 
+class _MisplacedGenus(argparse.Action):
+    """Refuses a --genus placed before the command, naming the commands
+    that take it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.exit(2, "error: --genus is an option of `special eval` and "
+                       "`special check`; put it after the subcommand\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selbergfe",
         description="Functional equations and numerics for Selberg zeta "
                     "functions twisted by integer Laurent polynomials.")
     parser.add_argument("--out", help="write output to this path")
+    # a --genus before the command would otherwise be read as the command
+    parser.add_argument("--genus", action=_MisplacedGenus,
+                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     motive = sub.add_parser("motive", help="Laurent polynomial analysis")
@@ -277,11 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
                               help="re-derive the base zeta reflection")
     derive.set_defaults(func=_cmd_fe_derive_base)
 
-    # the surface and evaluator settings, read by `special eval` and
-    # `special check` only
+    # the surface genus, read by `special eval` and `special check` only
     surface = argparse.ArgumentParser(add_help=False)
-    surface.add_argument("--config", help="key=value config file (flags win)")
-    surface.add_argument("--genus", type=int, help="surface genus (>= 2)")
+    surface.add_argument("--genus", type=int,
+                         help="surface genus (>= 2, default 2)")
 
     sp = sub.add_parser("special", help="special-function numerics")
     spsub = sp.add_subparsers(dest="subcommand", required=True)
@@ -290,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--fn", required=True,
                     choices=["gamma2", "s2", "zr", "gammaM", "sM", "fe-factor"])
     ev.add_argument("--s", type=float, required=True)
-    ev.add_argument("--r", type=int, default=2)
+    ev.add_argument("--r", type=int, help="order of --fn zr (default 2)")
     ev.add_argument("--w", type=complex, default=None)
     ev.set_defaults(func=_cmd_special_eval)
     check = spsub.add_parser("check", parents=[surface],

@@ -39,23 +39,6 @@ class PoleError(ValueError):
 
 
 @dataclass(frozen=True)
-class SpecialEvaluator:
-    """Precision knobs for the Euler-Maclaurin kernel.
-
-    euler_maclaurin_cutoff: number of directly summed terms.
-    bernoulli_terms: number of Bernoulli correction terms.
-    """
-    euler_maclaurin_cutoff: int = 24
-    bernoulli_terms: int = 12
-
-    def __post_init__(self):
-        if self.euler_maclaurin_cutoff < 8:
-            raise ValueError("euler_maclaurin_cutoff must be >= 8")
-        if self.bernoulli_terms < 4:
-            raise ValueError("bernoulli_terms must be >= 4")
-
-
-@dataclass(frozen=True)
 class SpecialValue:
     value: Number
     abs_err_estimate: float
@@ -70,10 +53,11 @@ class SurfaceParams:
             raise ValueError(f"genus must be >= 2, got {self.genus}")
 
 
-DEFAULT_EVALUATOR = SpecialEvaluator()
-
-
 _EPS = sys.float_info.epsilon
+# the kernel's directly summed terms and Bernoulli correction terms: with
+# these it is valid for Re(w) > r - 2B - 2 = r - 26
+_EM_CUTOFF = 24
+_EM_BERNOULLI = 12
 # zeta_r(-n, s) is summed exactly for n up to this; at the cap the
 # Bernoulli numbers and the sum take about 0.1 s, the numbers once
 _EXACT_MAX_N = 400
@@ -206,12 +190,14 @@ def _zeta_r_exact(r: int, n: int, s: float) -> Tuple[float, float]:
     return v, 0.5 * math.ulp(v)
 
 
-def _zeta_r(r: int, w: Number, s: float, ev: SpecialEvaluator,
-            d: int) -> SpecialValue:
+def _zeta_r(r: int, w: Number, s: float, d: int, *, N: int = _EM_CUTOFF,
+            B: int = _EM_BERNOULLI) -> SpecialValue:
     """The order-r Hurwitz zeta sum_n binom(n+r-1, r-1) (n+s)^-w (d = 0)
     or its w-derivative (d = 1): the one Euler-Maclaurin kernel.
 
-    Partial sum over n < N with the exact integer weights, times
+    N directly summed terms and B Bernoulli terms; callers take the
+    module's defaults, and only a test of the truncation bound passes
+    others.  Partial sum over n < N with the exact integer weights, times
     -log(n+s) for the derivative; then the tail sum_j c_j(s) T_j, where
     T_j is the Euler-Maclaurin tail of zeta_H^(d)(w-j, s) at x = N+s:
 
@@ -235,7 +221,6 @@ def _zeta_r(r: int, w: Number, s: float, ev: SpecialEvaluator,
         if d == 0 and integral and wc.real <= 0:
             v, err = _zeta_r_exact(r, -int(wc.real), s)
             return SpecialValue(complex(v) if isinstance(w, complex) else v, err)
-        N, B = ev.euler_maclaurin_cutoff, ev.bernoulli_terms
         if wc.real <= r - 2 * B - 2:
             raise DomainError(f"Euler-Maclaurin with {B} Bernoulli terms needs "
                               f"Re(w) > {r - 2 * B - 2} at order {r}, got w={w}")
@@ -303,8 +288,7 @@ def _zeta_r(r: int, w: Number, s: float, ev: SpecialEvaluator,
     return SpecialValue(total, err)
 
 
-def hurwitz_zeta(w: Number, s: float,
-                 ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> SpecialValue:
+def hurwitz_zeta(w: Number, s: float) -> SpecialValue:
     """Analytic continuation of sum_{n>=0} (n+s)^-w: the kernel at r = 1.
 
     Exact, up to one rounding, at w = 0, -1, ..., -400:
@@ -314,11 +298,10 @@ def hurwitz_zeta(w: Number, s: float,
         raise DomainError(f"hurwitz_zeta requires s > 0, got s={s}")
     if complex(w) == 1:
         raise PoleError("hurwitz_zeta has a pole at w = 1")
-    return _zeta_r(1, w, s, ev, 0)
+    return _zeta_r(1, w, s, 0)
 
 
-def hurwitz_zeta_dw(w: Number, s: float,
-                    ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> SpecialValue:
+def hurwitz_zeta_dw(w: Number, s: float) -> SpecialValue:
     """Analytic w-derivative of the Hurwitz zeta: the kernel at r = 1.
 
     Never a finite difference: each Euler-Maclaurin term is
@@ -328,11 +311,10 @@ def hurwitz_zeta_dw(w: Number, s: float,
         raise DomainError(f"hurwitz_zeta_dw requires s > 0, got s={s}")
     if complex(w) == 1:
         raise PoleError("hurwitz_zeta has a pole at w = 1")
-    return _zeta_r(1, w, s, ev, 1)
+    return _zeta_r(1, w, s, 1)
 
 
-def multiple_hurwitz_zeta(r: int, w: Number, s: float,
-                          ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> SpecialValue:
+def multiple_hurwitz_zeta(r: int, w: Number, s: float) -> SpecialValue:
     """Order-r Hurwitz zeta sum_{n_1..n_r>=0} (n_1+...+n_r+s)^-w.
 
     The number of lattice points with coordinate sum n is
@@ -347,17 +329,16 @@ def multiple_hurwitz_zeta(r: int, w: Number, s: float,
     for j in range(r):
         if wc - j == 1:
             raise PoleError(f"multiple_hurwitz_zeta of order {r} has a pole at w={j + 1}")
-    return _zeta_r(r, w, s, ev, 0)
+    return _zeta_r(r, w, s, 0)
 
 
-def log_gamma_r(r: int, s: float,
-                ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> SpecialValue:
+def log_gamma_r(r: int, s: float) -> SpecialValue:
     """log of the normalized order-r gamma function: d/dw zeta_r(w,s) at w=0."""
     if r not in (1, 2, 3, 4):
         raise DomainError(f"order r must be in 1..4, got {r}")
     if s <= 0:
         raise DomainError(f"log_gamma_r requires s > 0, got s={s}")
-    return _zeta_r(r, 0.0, s, ev, 1)
+    return _zeta_r(r, 0.0, s, 1)
 
 
 _FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
@@ -379,11 +360,10 @@ def _exp(x: float, what: str) -> float:
         return _normal(math.inf, what)
 
 
-def gamma_r(r: int, s: float,
-            ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> SpecialValue:
+def gamma_r(r: int, s: float) -> SpecialValue:
     """Normalized order-r gamma function; DomainError where it is not a
     normal float."""
-    lg = log_gamma_r(r, s, ev)
+    lg = log_gamma_r(r, s)
     v = _exp(lg.value, f"gamma_r({r}, {s!r})")
     return SpecialValue(v, abs(v) * lg.abs_err_estimate)
 
@@ -409,7 +389,7 @@ def _two_sin_pi(t: float) -> Tuple[float, float]:
     return 2.0 * math.sin(arg), _EPS * (2.0 + abs(arg / math.tan(arg)))
 
 
-def _s2_raw(s: float, ev: SpecialEvaluator) -> Tuple[float, float]:
+def _s2_raw(s: float) -> Tuple[float, float]:
     """S_2 on the base window via gammas, elsewhere by the shift ladder.
 
     Returns the value and the ladder's relative rounding bound (0 on the
@@ -429,8 +409,7 @@ def _s2_raw(s: float, ev: SpecialEvaluator) -> Tuple[float, float]:
         factor *= sine
         err += step_err
         t += 1
-    base = math.exp(log_gamma_r(2, 2 - t, ev).value
-                    - log_gamma_r(2, t, ev).value)
+    base = math.exp(log_gamma_r(2, 2 - t).value - log_gamma_r(2, t).value)
     v = base * factor
     # |2 sin pi t| is the same at every step, so |factor| moves away from 1
     # monotonically: if it ends as a normal float, so was every step
@@ -441,8 +420,7 @@ def _s2_raw(s: float, ev: SpecialEvaluator) -> Tuple[float, float]:
     return v, err
 
 
-def sine_r(r: int, s: float,
-           ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> SpecialValue:
+def sine_r(r: int, s: float) -> SpecialValue:
     """Normalized multiple sine of order 1 or 2.
 
     Order 1 is only needed on its base window (0, 1); order 2 is
@@ -456,8 +434,8 @@ def sine_r(r: int, s: float,
     if r == 1:
         if not 0 < s < 1:
             raise DomainError(f"sine_r(1, s) requires 0 < s < 1, got s={s}")
-        lg = log_gamma_r(1, s, ev)
-        lg2 = log_gamma_r(1, 1 - s, ev)
+        lg = log_gamma_r(1, s)
+        lg2 = log_gamma_r(1, 1 - s)
         v = _exp(-lg.value - lg2.value, f"sine_r(1, {s!r})")
         return SpecialValue(v, abs(v) * (lg.abs_err_estimate + lg2.abs_err_estimate))
     if r != 2:
@@ -467,12 +445,11 @@ def sine_r(r: int, s: float,
                           f"got s={s}")
     if _is_integer(s) and round(s) != 1:
         raise PoleError(f"S_2 evaluation hits a sine zero/pole at integer s={s}")
-    v, ladder_err = _s2_raw(s, ev)
+    v, ladder_err = _s2_raw(s)
     return SpecialValue(v, abs(v) * (1e-13 + ladder_err))
 
 
-def gamma_M(s: float, params: SurfaceParams,
-            ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> SpecialValue:
+def gamma_M(s: float, params: SurfaceParams) -> SpecialValue:
     """Completing gamma factor (Gamma_2(s) Gamma_2(s+1))^(2g-2), in log space.
 
     Raises DomainError where the value is not a normal float.
@@ -480,22 +457,21 @@ def gamma_M(s: float, params: SurfaceParams,
     if s <= 0:
         raise DomainError(f"gamma_M requires s > 0, got s={s}")
     e = 2 * params.genus - 2
-    lg = log_gamma_r(2, s, ev)
-    lg1 = log_gamma_r(2, s + 1, ev)
+    lg = log_gamma_r(2, s)
+    lg1 = log_gamma_r(2, s + 1)
     v = _exp(e * (lg.value + lg1.value),
              f"gamma_M({s!r}) at genus {params.genus}")
     return SpecialValue(v, abs(v) * abs(e) * (lg.abs_err_estimate + lg1.abs_err_estimate))
 
 
-def s_M(s: float, params: SurfaceParams,
-        ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> SpecialValue:
+def s_M(s: float, params: SurfaceParams) -> SpecialValue:
     """(S_2(s) S_2(s+1))^(2-2g); equals gamma_M(s)/gamma_M(1-s) where both exist.
 
     Raises DomainError where the value is not a normal float.
     """
     e = 2 - 2 * params.genus
-    a = sine_r(2, s, ev)
-    b = sine_r(2, s + 1, ev)
+    a = sine_r(2, s)
+    b = sine_r(2, s + 1)
     try:
         v = (a.value * b.value) ** e
     except OverflowError:
@@ -531,14 +507,14 @@ class CheckRow:
         return self.error < self.tolerance
 
 
-def check_ladder(ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> List[CheckRow]:
+def check_ladder() -> List[CheckRow]:
     """S_2(s+1) = S_2(s)/(2 sin pi s) and S_2(s+2) = -S_2(s+1)/(2 sin pi s)."""
     rows = []
     for i in range(1, 10):
         s = i / 10
-        s2 = sine_r(2, s, ev).value
-        s2p1 = sine_r(2, s + 1, ev).value
-        s2p2 = sine_r(2, s + 2, ev).value
+        s2 = sine_r(2, s).value
+        s2p1 = sine_r(2, s + 1).value
+        s2p2 = sine_r(2, s + 2).value
         sin2 = 2 * math.sin(math.pi * s)
         rows.append(CheckRow("S2(s+1)=S2(s)/(2 sin pi s)", s,
                              s2p1, s2 / sin2,
@@ -549,40 +525,39 @@ def check_ladder(ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> List[CheckRow]:
     return rows
 
 
-def check_ode(ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> List[CheckRow]:
+def check_ode() -> List[CheckRow]:
     """(log S_2)'(s) = pi (1-s) cot(pi s), by central finite difference."""
     rows = []
     h = 1e-5
     for i in range(1, 10):
         s = i / 10
-        lhs = (math.log(abs(sine_r(2, s + h, ev).value))
-               - math.log(abs(sine_r(2, s - h, ev).value))) / (2 * h)
+        lhs = (math.log(abs(sine_r(2, s + h).value))
+               - math.log(abs(sine_r(2, s - h).value))) / (2 * h)
         rhs = math.pi * (1 - s) / math.tan(math.pi * s)
         rows.append(CheckRow("dlogS2 = pi(1-s)cot(pi s)", s, lhs, rhs,
                              abs(lhs - rhs), 1e-6))
     return rows
 
 
-def check_fe_integral(genus: int,
-                      ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> List[CheckRow]:
+def check_fe_integral(genus: int) -> List[CheckRow]:
     """Quadrature factor vs (S_2(s) S_2(s+1))^(2-2g) on a 17-point grid."""
     params = SurfaceParams(genus)
     rows = []
     for i in range(17):
         s = 0.1 + 0.8 * (i + 0.5) / 17
         lhs = selberg_fe_factor(s, params).value
-        rhs = s_M(s, params, ev).value
+        rhs = s_M(s, params).value
         rows.append(CheckRow("fe-factor = (S2(s)S2(s+1))^(2-2g)", s, lhs, rhs,
                              abs(lhs / rhs - 1), 1e-9))
     return rows
 
 
-def check_reduction(ev: SpecialEvaluator = DEFAULT_EVALUATOR) -> List[CheckRow]:
+def check_reduction() -> List[CheckRow]:
     """Order-2 reduction vs the truncated raw double sum with tail estimate."""
     rows = []
     for w, s in ((3.0, 1.5), (4.0, 1.0), (2.5, 0.7)):
         oracle, bound = double_sum_oracle(w, s)
-        val = multiple_hurwitz_zeta(2, w, s, ev).value
+        val = multiple_hurwitz_zeta(2, w, s).value
         rows.append(CheckRow("zeta_2 reduction vs double sum", s, val, oracle,
                              abs(val - oracle), bound))
     return rows

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from selbergfe import geodesics
-from selbergfe.cli import load_config, main
+from selbergfe import cli, geodesics
+from selbergfe.cli import main
 
 
 def run(capsys, *argv):
@@ -186,7 +186,8 @@ def test_special_eval_zr_needs_w(capsys):
 
 def test_special_check_identities(capsys):
     for identity in ("ode", "ladder", "fe-integral", "reduction"):
-        code, out, _ = run(capsys, "special", "check", "--genus", "2",
+        genus = ("--genus", "2") if identity == "fe-integral" else ()
+        code, out, _ = run(capsys, "special", "check", *genus,
                            "--identity", identity)
         assert code == 0, identity
         assert "overall: PASS" in out
@@ -307,43 +308,14 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
-def test_config_file(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("genus = 3\neuler_maclaurin_cutoff = 32\n")
-    code, out, _ = run(capsys, "special", "check", "--config", str(cfg),
-                       "--identity", "fe-integral")
-    assert code == 0
-
-
-def test_config_flags_win(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("genus = 1\n")  # invalid on its own
-    code, _, err = run(capsys, "special", "check", "--config", str(cfg),
-                       "--identity", "ladder")
-    assert code == 2
-    code, _, _ = run(capsys, "special", "check", "--config", str(cfg),
-                     "--genus", "2", "--identity", "ladder")
-    assert code == 0
-
-
-def test_config_unknown_key_rejected(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("frobnicate = 1\n")
-    with pytest.raises(ValueError):
-        load_config(str(cfg))
-
-
 @pytest.mark.parametrize("key", ["threads", "target_rel_tol"])
-def test_removed_knobs_rejected(capsys, tmp_path, key):
-    # neither knob did anything; a config that still sets one is refused
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key} = 1\n")
-    with pytest.raises(ValueError, match="unknown config key"):
-        load_config(str(cfg))
-    code, _, err = run(capsys, "special", "check", "--config", str(cfg),
+def test_removed_knobs_rejected(capsys, key):
+    # no such option exists on any command: each is a usage error
+    code, _, err = run(capsys, "special", "check", "--config", "x",
                        "--identity", "ladder")
-    assert code == 2 and "unknown config key" in err
-    code, _, _ = run(capsys, "--threads", "2", "fe", "derive-base")
+    assert code == 2 and "--config" in err
+    code, _, _ = run(capsys, "--" + key.replace("_", "-"), "2",
+                     "fe", "derive-base")
     assert code == 2
 
 
@@ -352,19 +324,49 @@ def test_removed_knobs_rejected(capsys, tmp_path, key):
     ("spectrum", "bolza", "--max-word-len", "2", "--out", "new.txt"),
     ("fe", "derive-base"),
 ])
-@pytest.mark.parametrize("option", [("--genus", "3"), ("--config", "run.cfg")])
+@pytest.mark.parametrize("option", [("--genus", "3")])
 def test_surface_options_only_on_special(capsys, tmp_path, monkeypatch,
                                          command, option):
-    # --genus and --config belong to `special eval` and `special check`;
-    # before any other command they are usage errors, not ignored
+    # --genus belongs to `special eval` and `special check`; before any
+    # other command it is a usage error that names itself, not ignored
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.cfg").write_text("genus = 3\n")
     (tmp_path / "sp.txt").write_text("# genus=2\n# horizon=3\n3.0 2\n")
     assert run(capsys, *command)[0] == 0
     (tmp_path / "new.txt").unlink(missing_ok=True)
-    code, out, _ = run(capsys, *option, *command)
+    code, out, err = run(capsys, *option, *command)
     assert (code, out) == (2, "")
+    assert err == ("error: --genus is an option of `special eval` and "
+                   "`special check`; put it after the subcommand\n")
     assert not (tmp_path / "new.txt").exists()
+
+
+@pytest.mark.parametrize("argv,option", [
+    (("special", "eval", "--fn", "s2", "--s", "0.5", "--w", "3"), "--w"),
+    (("special", "eval", "--fn", "gamma2", "--s", "0.5", "--r", "4"), "--r"),
+    (("special", "eval", "--fn", "gamma2", "--s", "0.5", "--genus", "7"),
+     "--genus"),
+    (("special", "check", "--identity", "ladder", "--genus", "9"), "--genus"),
+])
+def test_unread_special_option_exit_2(capsys, argv, option):
+    # an option the chosen function or identity does not read is refused,
+    # not accepted and ignored
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {option} is read only by ")
+    assert err.count("\n") == 1
+
+
+def test_pgt_points_capped_before_allocating(capsys, tmp_path, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("the table was built")
+    monkeypatch.setattr(geodesics, "pgt_table", no_table)
+    spath = tmp_path / "sp.txt"
+    spath.write_text("# genus=2\n# horizon=3\n3.0 2\n")
+    cap = cli._PGT_MAX_POINTS
+    code, out, err = run(capsys, "pgt", "--spectrum", str(spath),
+                         "--xmax", "50", "--points", str(cap + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: --points must be in 1..{cap}, got {cap + 1}\n"
 
 
 def test_spectrum_bolza_status_to_top_level_out(capsys, tmp_path):
