@@ -608,17 +608,24 @@ def geodesic_count(x: float, sp: LengthSpectrum) -> int:
 
 def pgt_table(sp: LengthSpectrum,
               xs: Sequence[float]) -> List[Tuple[float, int, float, float]]:
-    """Rows (x, count, x/log x, count*log x / x) for the counting function."""
+    """Rows (x, count, x/log x, count*log x / x) for the counting function.
+
+    One warning names the first x beyond the completeness horizon and how
+    many points lie there: their counts are lower bounds.
+    """
     rows = []
+    beyond = []
     for x in xs:
         if x <= math.e:
             raise DomainError(f"pgt_table requires x > e, got x={x}")
         if math.log(x) > sp.horizon:
-            warnings.warn(
-                f"x={x} lies beyond the completeness horizon "
-                f"exp({sp.horizon:.6f}); the count is a lower bound",
-                stacklevel=2)
+            beyond.append(x)
         count = geodesic_count(x, sp)
         approx = x / math.log(x)
         rows.append((x, count, approx, count * math.log(x) / x))
+    if beyond:
+        warnings.warn(
+            f"{len(beyond)} of {len(rows)} points lie beyond the completeness "
+            f"horizon exp({sp.horizon:.6f}), the first at x={beyond[0]}; "
+            "their counts are lower bounds", stacklevel=2)
     return rows

@@ -8,11 +8,13 @@ in powers of (n + s), with coefficients c_j(s) from an exact table
 built once per r, and sums the order-1 tails of zeta_H(w - j, s).
 Arithmetic is float for real w and complex for complex w.  At a
 nonpositive integer w the value is the exact Bernoulli polynomial one.
-hurwitz_zeta and hurwitz_zeta_dw are the kernel at r = 1, the log of
-the order-r gamma function is its w-derivative at w = 0, and the double
-sine function is a quotient of double gammas extended by its shift
-ladder.  The Selberg functional-equation integral factor is done by
-direct quadrature and cross-checks the sine-product form.
+hurwitz_zeta and hurwitz_zeta_dw are the kernel at r = 1, and the log of
+the order-r gamma function is its w-derivative at w = 0.  The composites
+(gamma_r, gamma_M, the sines, s_M and the Selberg functional-equation
+factor) are each a sum in log space with the kernel's estimates carried
+through, and one exp (_from_log); the double sine is a quotient of double
+gammas times its shift ladder in closed form.  The Selberg factor is done
+by direct quadrature and cross-checks the sine-product form.
 """
 from __future__ import annotations
 
@@ -288,16 +290,28 @@ def _zeta_r(r: int, w: Number, s: float, d: int, *, N: int = _EM_CUTOFF,
     return SpecialValue(total, err)
 
 
+# orders r and poles w = 1..r: a set, so testing a float or complex w is one hash
+_ORDERS = frozenset((1, 2, 3, 4))
+
+
+def _kernel_args(name: str, r: int, w: Number, s: float) -> None:
+    """The kernel front-ends' argument rules, naming the caller: order r
+    in 1..4, s > 0, and no pole at w = 1..r."""
+    if r not in _ORDERS:
+        raise DomainError(f"{name}: order r must be in 1..4, got {r}")
+    if not s > 0:
+        raise DomainError(f"{name} requires s > 0, got s={s}")
+    if w in _ORDERS and complex(w).real <= r:
+        raise PoleError(f"{name} of order {r} has a pole at w={complex(w).real:g}")
+
+
 def hurwitz_zeta(w: Number, s: float) -> SpecialValue:
     """Analytic continuation of sum_{n>=0} (n+s)^-w: the kernel at r = 1.
 
     Exact, up to one rounding, at w = 0, -1, ..., -400:
     zeta_H(-n, s) = -B_{n+1}(s) / (n+1).
     """
-    if s <= 0:
-        raise DomainError(f"hurwitz_zeta requires s > 0, got s={s}")
-    if complex(w) == 1:
-        raise PoleError("hurwitz_zeta has a pole at w = 1")
+    _kernel_args("hurwitz_zeta", 1, w, s)
     return _zeta_r(1, w, s, 0)
 
 
@@ -307,10 +321,7 @@ def hurwitz_zeta_dw(w: Number, s: float) -> SpecialValue:
     Never a finite difference: each Euler-Maclaurin term is
     differentiated in closed form, including the Pochhammer products.
     """
-    if s <= 0:
-        raise DomainError(f"hurwitz_zeta_dw requires s > 0, got s={s}")
-    if complex(w) == 1:
-        raise PoleError("hurwitz_zeta has a pole at w = 1")
+    _kernel_args("hurwitz_zeta_dw", 1, w, s)
     return _zeta_r(1, w, s, 1)
 
 
@@ -321,23 +332,13 @@ def multiple_hurwitz_zeta(r: int, w: Number, s: float) -> SpecialValue:
     binom(n+r-1, r-1), so the kernel sums the order-1 series with those
     weights; its tail is sum_j c_j(s) zeta_H(w-j, s) past the cutoff.
     """
-    if r not in (1, 2, 3, 4):
-        raise DomainError(f"order r must be in 1..4, got {r}")
-    if s <= 0:
-        raise DomainError(f"multiple_hurwitz_zeta requires s > 0, got s={s}")
-    wc = complex(w)
-    for j in range(r):
-        if wc - j == 1:
-            raise PoleError(f"multiple_hurwitz_zeta of order {r} has a pole at w={j + 1}")
+    _kernel_args("multiple_hurwitz_zeta", r, w, s)
     return _zeta_r(r, w, s, 0)
 
 
 def log_gamma_r(r: int, s: float) -> SpecialValue:
     """log of the normalized order-r gamma function: d/dw zeta_r(w,s) at w=0."""
-    if r not in (1, 2, 3, 4):
-        raise DomainError(f"order r must be in 1..4, got {r}")
-    if s <= 0:
-        raise DomainError(f"log_gamma_r requires s > 0, got s={s}")
+    _kernel_args("log_gamma_r", r, 0.0, s)
     return _zeta_r(r, 0.0, s, 1)
 
 
@@ -360,93 +361,85 @@ def _exp(x: float, what: str) -> float:
         return _normal(math.inf, what)
 
 
+def _from_log(log_v: float, log_err: float, what: str,
+              sign: int = 1) -> SpecialValue:
+    """sign * exp(log_v), the one way out of log space for every composite.
+
+    log_err bounds the error of log_v before its last rounding; that
+    rounding and exp's own add eps (|log_v| + 1) to the relative error.
+    Raises DomainError naming `what` where the value is not a normal float.
+    """
+    v = _exp(log_v, what)
+    return SpecialValue(sign * v, v * (log_err + _EPS * (abs(log_v) + 1)))
+
+
 def gamma_r(r: int, s: float) -> SpecialValue:
     """Normalized order-r gamma function; DomainError where it is not a
     normal float."""
     lg = log_gamma_r(r, s)
-    v = _exp(lg.value, f"gamma_r({r}, {s!r})")
-    return SpecialValue(v, abs(v) * lg.abs_err_estimate)
+    return _from_log(lg.value, lg.abs_err_estimate, f"gamma_r({r}, {s!r})")
 
 
-def _is_integer(s: float, tol: float = 1e-12) -> bool:
-    return abs(s - round(s)) < tol
+def _log_s2(s: float) -> Tuple[float, int, float]:
+    """log |S_2(s)|, the sign of S_2(s), and a bound on the log's error.
 
+    The shift ladder S_2(t+1) = S_2(t) / (2 sin pi t) in closed form: with
+    k the integer nearest s, d = s - k in (-1/2, 1/2] (exact), n = k - 1
+    and b = s - n = 1 + d in (1/2, 3/2],
 
-# the ladder loop takes one step per unit of |s|: the cap bounds its run time
-_S2_MAX_LADDER = 100_000
+        S_2(s) = S_2(b) (-1)^(n(n-1)/2) (2 sin pi b)^-n,
+        S_2(b) = Gamma_2(2 - b) / Gamma_2(b),   |2 sin pi b| = |2 sin pi d|.
 
-
-def _two_sin_pi(t: float) -> Tuple[float, float]:
-    """2 sin(pi t) and a bound on its relative rounding error.
-
-    t is first reduced to d in [-1, 1] by an exact subtraction, so the
-    argument pi d is off only by the rounding of pi and of the product,
-    about 0.7 eps |pi d|; the sine turns that into 0.7 eps |pi d cot pi d|
-    of itself, and math.sin and the caller's product or quotient add an
-    ulp each.
+    The bound adds the kernel's estimates of the two log Gamma_2; 3 eps
+    for rounding b (exact for |s| >= 1) and 2 - b, 3/4 eps each, as
+    |(log Gamma_2)'(x)| = |(1-x) psi(x) + x - 1/2| <= 1 on [1/2, 3/2];
+    per ladder step, 2 eps for the sine (pi d is off by eps |pi d|, which
+    moves the sine by eps |pi d cot pi d| <= eps of itself, and sin adds
+    an ulp) and 2 eps |log| for the log and the product; and the
+    rounding of the sum.
     """
-    arg = math.pi * (t - 2.0 * round(t / 2.0))
-    return 2.0 * math.sin(arg), _EPS * (2.0 + abs(arg / math.tan(arg)))
-
-
-def _s2_raw(s: float) -> Tuple[float, float]:
-    """S_2 on the base window via gammas, elsewhere by the shift ladder.
-
-    Returns the value and the ladder's relative rounding bound (0 on the
-    base window).  The ladder runs as a loop from s to the base point b
-    in (1/2, 3/2]; t -= 1 and t += 1 are exact for these |t|.  Raises
-    DomainError where the ladder product or the value is not a normal
-    float: there the result would be 0, inf or lose precision.
-    """
-    t, factor, err = s, 1.0, 0.0
-    while t > 1.5:
-        t -= 1
-        sine, step_err = _two_sin_pi(t)
-        factor /= sine
-        err += step_err
-    while t <= 0.5:
-        sine, step_err = _two_sin_pi(t)
-        factor *= sine
-        err += step_err
-        t += 1
-    base = math.exp(log_gamma_r(2, 2 - t).value - log_gamma_r(2, t).value)
-    v = base * factor
-    # |2 sin pi t| is the same at every step, so |factor| moves away from 1
-    # monotonically: if it ends as a normal float, so was every step
-    if not (_FLOAT_MIN <= abs(factor) <= _FLOAT_MAX
-            and _FLOAT_MIN <= abs(v) <= _FLOAT_MAX):
-        raise DomainError(f"S_2({s}) = {v!r} lies outside the normal float "
-                          "range; it cannot be evaluated as a float")
-    return v, err
+    if not math.isfinite(s):
+        raise DomainError(f"S_2 requires a finite s, got s={s}")
+    k = round(s)
+    d = s - k
+    if d == -0.5:                   # round() ties to even
+        k, d = k - 1, 0.5
+    if abs(d) < 1e-12 and k != 1:
+        raise PoleError(f"S_2 evaluation hits a sine zero/pole at integer s={s}")
+    n = k - 1
+    b = s - n
+    lg, lg_b = log_gamma_r(2, 2 - b), log_gamma_r(2, b)
+    log_v = lg.value - lg_b.value
+    err = lg.abs_err_estimate + lg_b.abs_err_estimate + _EPS * (3 + abs(log_v))
+    if not n:
+        return log_v, 1, err
+    log_sine = math.log(abs(2.0 * math.sin(math.pi * d)))
+    flips = n * (n - 1) // 2 + (n if d > 0 else 0)     # sin pi b < 0 iff d > 0
+    return (log_v - n * log_sine, -1 if flips % 2 else 1,
+            err + abs(n) * _EPS * (2 + 2 * abs(log_sine)))
 
 
 def sine_r(r: int, s: float) -> SpecialValue:
-    """Normalized multiple sine of order 1 or 2.
+    """Normalized multiple sine of order 1 or 2, in log space.
 
-    Order 1 is only needed on its base window (0, 1); order 2 is
-    extended to non-integer real s, |s| <= 100000, by the shift ladder
-    S_2(s+1) = S_2(s) / (2 sin pi s).  The order-2 error estimate is
-    1e-13 for the base window plus the rounding bound of every ladder
-    step, so it grows with |s|.  Raises DomainError where the value is
-    not a normal float: |S_2(s)| over- or underflows far along the
-    ladder, and S_1(s) = 2 sin pi s is subnormal for s next to 0.
+    Order 1 is only needed on its base window (0, 1); order 2 is defined
+    at every finite non-integer s (_log_s2), with an estimate that grows
+    with |s|.  Raises DomainError where the value is not a normal float:
+    |S_2(s)| over- or underflows far along the ladder, and
+    S_1(s) = 2 sin pi s is subnormal for s next to 0.
     """
     if r == 1:
         if not 0 < s < 1:
             raise DomainError(f"sine_r(1, s) requires 0 < s < 1, got s={s}")
         lg = log_gamma_r(1, s)
         lg2 = log_gamma_r(1, 1 - s)
-        v = _exp(-lg.value - lg2.value, f"sine_r(1, {s!r})")
-        return SpecialValue(v, abs(v) * (lg.abs_err_estimate + lg2.abs_err_estimate))
+        return _from_log(-lg.value - lg2.value,
+                         lg.abs_err_estimate + lg2.abs_err_estimate,
+                         f"sine_r(1, {s!r})")
     if r != 2:
         raise DomainError(f"sine_r supports r in {{1, 2}}, got r={r}")
-    if not abs(s) <= _S2_MAX_LADDER:
-        raise DomainError(f"sine_r(2, s) requires |s| <= {_S2_MAX_LADDER}, "
-                          f"got s={s}")
-    if _is_integer(s) and round(s) != 1:
-        raise PoleError(f"S_2 evaluation hits a sine zero/pole at integer s={s}")
-    v, ladder_err = _s2_raw(s)
-    return SpecialValue(v, abs(v) * (1e-13 + ladder_err))
+    log_v, sign, err = _log_s2(s)
+    return _from_log(log_v, err, f"sine_r(2, {s!r})", sign)
 
 
 def gamma_M(s: float, params: SurfaceParams) -> SpecialValue:
@@ -459,36 +452,41 @@ def gamma_M(s: float, params: SurfaceParams) -> SpecialValue:
     e = 2 * params.genus - 2
     lg = log_gamma_r(2, s)
     lg1 = log_gamma_r(2, s + 1)
-    v = _exp(e * (lg.value + lg1.value),
-             f"gamma_M({s!r}) at genus {params.genus}")
-    return SpecialValue(v, abs(v) * abs(e) * (lg.abs_err_estimate + lg1.abs_err_estimate))
+    return _from_log(e * (lg.value + lg1.value),
+                     abs(e) * (lg.abs_err_estimate + lg1.abs_err_estimate),
+                     f"gamma_M({s!r}) at genus {params.genus}")
 
 
 def s_M(s: float, params: SurfaceParams) -> SpecialValue:
-    """(S_2(s) S_2(s+1))^(2-2g); equals gamma_M(s)/gamma_M(1-s) where both exist.
+    """(S_2(s) S_2(s+1))^(2-2g), in log space: the exponent is even, so
+    the signs cancel.  Equals gamma_M(s)/gamma_M(1-s) where both exist.
 
-    Raises DomainError where the value is not a normal float.
+    Rounding s + 1 moves log |S_2(s+1)| by at most |pi s cot pi s| ulp(s+1),
+    by the ODE (log S_2)'(t) = pi (1-t) cot(pi t); the estimate carries
+    it.  Raises DomainError where the value is not a normal float.
     """
     e = 2 - 2 * params.genus
-    a = sine_r(2, s)
-    b = sine_r(2, s + 1)
-    try:
-        v = (a.value * b.value) ** e
-    except OverflowError:
-        v = math.inf
-    v = _normal(v, f"s_M({s!r}) at genus {params.genus}")
-    return SpecialValue(v, abs(v) * abs(e) * 2e-13)
+    log_a, _, err_a = _log_s2(s)
+    log_b, _, err_b = _log_s2(s + 1)
+    slope = abs(math.pi * s / math.tan(math.pi * (s - round(s))))
+    log_v = log_a + log_b
+    return _from_log(e * log_v, abs(e) * (err_a + err_b + slope * math.ulp(s + 1)
+                                          + _EPS * abs(log_v)),
+                     f"s_M({s!r}) at genus {params.genus}")
 
 
 def selberg_fe_factor(s: float, params: SurfaceParams) -> SpecialValue:
-    """exp((4-4g) * integral_0^{s-1/2} pi t tan(pi t) dt) for s in (0, 1)."""
+    """exp((4-4g) * integral_0^{s-1/2} pi t tan(pi t) dt) for s in (0, 1).
+
+    Raises DomainError where the value is not a normal float.
+    """
     if not 0 < s < 1:
         raise DomainError(f"selberg_fe_factor requires 0 < s < 1, got s={s}")
     integral, quad_err = quad(lambda t: math.pi * t * math.tan(math.pi * t),
                               0.0, s - 0.5, epsabs=1e-13, epsrel=1e-13)
     e = 4 - 4 * params.genus
-    v = math.exp(e * integral)
-    return SpecialValue(v, abs(v) * abs(e) * max(quad_err, 1e-15))
+    return _from_log(e * integral, abs(e) * max(quad_err, 1e-15),
+                     f"selberg_fe_factor({s!r}) at genus {params.genus}")
 
 
 # -- identity check grids (used by the CLI and the acceptance suite) -----

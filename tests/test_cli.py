@@ -131,6 +131,13 @@ def test_special_eval_s2_outside_float_range(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
+def test_special_eval_s2_non_finite_exit_2(capsys, s):
+    code, out, err = run(capsys, "special", "eval", "--fn", "s2", f"--s={s}")
+    assert (code, out) == (2, "")
+    assert err == f"error: S_2 requires a finite s, got s={float(s)}\n"
+
+
 def test_special_eval_fe_factor_domain_error(capsys):
     code, _, err = run(capsys, "special", "eval", "--fn", "fe-factor",
                        "--s", "1.5")
@@ -154,6 +161,8 @@ def test_special_eval_zr_exact_at_negative_integer(capsys):
     ("special", "eval", "--fn", "zr", "--r", "1", "--w=-400.5", "--s", "2"),
     # (S_2(s) S_2(s+1))^(2-2g) overflows in s_M itself
     ("special", "eval", "--genus", "100000", "--fn", "sM", "--s", "0.3"),
+    # the quadrature form's exp((4-4g) integral) overflows
+    ("special", "eval", "--genus", "100000", "--fn", "fe-factor", "--s", "0.001"),
 ])
 def test_special_eval_overflow_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -5,6 +5,7 @@ import math
 import os
 import random
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -583,6 +584,20 @@ def test_pgt_warns_beyond_horizon():
     sp = _tiny_spectrum()
     with pytest.warns(UserWarning):
         pgt_table(sp, [math.exp(sp.horizon) * 10])
+
+
+def test_pgt_warns_once_for_many_points_beyond_horizon():
+    """2,000 points past the horizon make one warning, naming the first."""
+    sp = _tiny_spectrum()
+    first = math.exp(sp.horizon) * 1.5
+    xs = [10.0] + [first * (1 + i) for i in range(2000)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = pgt_table(sp, xs)
+    assert len(rows) == 2001
+    assert [str(w.message) for w in caught] == [
+        f"2000 of 2001 points lie beyond the completeness horizon "
+        f"exp(3.057100), the first at x={first}; their counts are lower bounds"]
 
 
 def test_pgt_rejects_small_x(spectrum5):

@@ -134,6 +134,29 @@ def test_higher_order_vs_brute_force(r):
     assert abs(val - total) < 2 * abs(tail)
 
 
+@pytest.mark.parametrize("name, call", [
+    ("hurwitz_zeta", lambda s: hurwitz_zeta(2.0, s)),
+    ("hurwitz_zeta_dw", lambda s: hurwitz_zeta_dw(2.0, s)),
+    ("multiple_hurwitz_zeta", lambda s: multiple_hurwitz_zeta(2, 3.0, s)),
+    ("log_gamma_r", lambda s: log_gamma_r(2, s)),
+])
+def test_kernel_domain_errors_name_the_caller(name, call):
+    for s in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match=re.escape(f"{name} requires s > 0, got s={s}")):
+            call(s)
+
+
+def test_kernel_pole_errors_name_the_caller():
+    with pytest.raises(PoleError, match=r"^hurwitz_zeta_dw of order 1 has a pole at w=1$"):
+        hurwitz_zeta_dw(1, 2.0)
+    with pytest.raises(PoleError, match=r"^hurwitz_zeta of order 1 has a pole at w=1$"):
+        hurwitz_zeta(1 + 0j, 2.0)
+    with pytest.raises(PoleError, match=r"^multiple_hurwitz_zeta of order 4 has a pole at w=3$"):
+        multiple_hurwitz_zeta(4, 3, 1.0)
+    with pytest.raises(DomainError, match=r"^log_gamma_r: order r must be in 1\.\.4, got 0$"):
+        log_gamma_r(0, 1.0)
+
+
 def test_order_limits_and_poles():
     with pytest.raises(DomainError):
         multiple_hurwitz_zeta(5, 3, 1.0)
@@ -229,9 +252,11 @@ def _mp_s2_closed_form(s):
         return base * (-1) ** (n * (n - 1) // 2) / (2 * mpmath.sinpi(b)) ** n
 
 
-@pytest.mark.parametrize("s", [1200 + 1 / 6, -1000 + 1 / 6])
+@pytest.mark.parametrize("s", [1200 + 1 / 6, -1000 + 1 / 6, 1e6 + 1 / 6,
+                               -1e6 + 1 / 6])
 def test_s2_deep_ladder(s):
-    """Far along the ladder, where |2 sin pi b| = 1 keeps S_2 of order 1."""
+    """Far along the ladder, where |2 sin pi b| = 1 keeps S_2 of order 1;
+    there is no cap on |s|."""
     sv = sine_r(2, s)
     ref = _mp_s2_closed_form(s)
     err = float(abs(sv.value - ref))
@@ -248,13 +273,31 @@ def test_s2_outside_float_range(s):
         sine_r(2, s)
 
 
-@pytest.mark.parametrize("s", [1470.3, -1470.3])
+@pytest.mark.parametrize("s", [
+    1470.3, -1470.3,
+    # the base window (1/2, 3/2]
+    0.5001, 0.75, 1.0, 1.25, 1.5,
+    # along the ladder
+    -19.7, -12.35, -3.9, -0.45, 2.2, 7.61, 13.05, 29.93,
+    # reflection pairs s, 2 - s
+    0.3, 1.7, -4.6, 6.6, 9.15, -7.15,
+])
 def test_s2_near_float_range_edge(s):
-    """|S_2(s)| is about 7.6e-308 and 3.4e+307 here: still normal floats."""
+    """Actual error within the estimate, and below 1e-10 relative: next to
+    the float range edge, where |S_2(+-1470.3)| is about 7.6e-308 and
+    3.4e+307, and on the base window, the ladder and reflection pairs."""
     sv = sine_r(2, s)
     err = float(abs(sv.value - _mp_s2_closed_form(s)))
     assert err <= sv.abs_err_estimate
     assert err < 1e-10 * abs(sv.value)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_s2_non_finite_is_domain_error(s):
+    with pytest.raises(DomainError, match=re.escape(f"S_2 requires a finite s, got s={s}")):
+        sine_r(2, s)
+    with pytest.raises(DomainError, match=re.escape(f"S_2 requires a finite s, got s={s}")):
+        s_M(s, SurfaceParams(2))
 
 
 def test_ladder_grid():
@@ -300,6 +343,33 @@ def test_s_M_at_half_is_one():
     assert s_M(0.5, SurfaceParams(2)).value == pytest.approx(1.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("genus", [2, 3])
+@pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.77, 0.995, -2.6, 7.4])
+def test_s_M_against_mpmath(genus, s):
+    """s_M against S_2(s)^2 / (2 sin pi s) at 30 digits, which is S_2(s) S_2(s+1)
+    at the exact s + 1: actual error within the estimate."""
+    sv = s_M(s, SurfaceParams(genus))
+    with mpmath.workdps(30):
+        a = _mp_s2_closed_form(s)
+        ref = (a * a / (2 * mpmath.sinpi(s))) ** (2 - 2 * genus)
+    err = float(abs(sv.value - ref))
+    assert err <= sv.abs_err_estimate
+    assert err < 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("s", [1.000001, 3.0000001])
+def test_s_M_estimate_carries_rounding_of_s_plus_1(s):
+    """s + 1 rounds here, next to a pole of cot pi s: s_M is then off by far
+    more than the kernel's error, and the estimate still covers it."""
+    assert (s + 1) - 1 != s
+    sv = s_M(s, SurfaceParams(2))
+    with mpmath.workdps(30):
+        a = _mp_s2_closed_form(s)
+        ref = (a * a / (2 * mpmath.sinpi(s))) ** -2
+    err = float(abs(sv.value - ref))
+    assert 1e-10 * abs(ref) < err <= sv.abs_err_estimate
+
+
 def test_s_M_exponent_linearity():
     l2 = math.log(s_M(0.7, SurfaceParams(2)).value)
     l3 = math.log(s_M(0.7, SurfaceParams(3)).value)
@@ -313,6 +383,10 @@ def test_s_M_exponent_linearity():
     (lambda: gamma_M(50.0, SurfaceParams(100)), "gamma_M(50.0) at genus 100 = 0.0"),
     (lambda: s_M(0.3, SurfaceParams(100000)), "s_M(0.3) at genus 100000 = inf"),
     (lambda: sine_r(1, 5e-324), "sine_r(1, 5e-324) = 3e-323"),
+    (lambda: selberg_fe_factor(0.999, SurfaceParams(100000)),
+     "selberg_fe_factor(0.999) at genus 100000 = 0.0"),
+    (lambda: selberg_fe_factor(0.001, SurfaceParams(100000)),
+     "selberg_fe_factor(0.001) at genus 100000 = inf"),
 ])
 def test_not_a_normal_float_is_domain_error(call, what):
     """An over- or underflowing value raises DomainError naming the call,
