@@ -461,17 +461,21 @@ def s_M(s: float, params: SurfaceParams) -> SpecialValue:
     """(S_2(s) S_2(s+1))^(2-2g), in log space: the exponent is even, so
     the signs cancel.  Equals gamma_M(s)/gamma_M(1-s) where both exist.
 
-    Rounding s + 1 moves log |S_2(s+1)| by at most |pi s cot pi s| ulp(s+1),
-    by the ODE (log S_2)'(t) = pi (1-t) cot(pi t); the estimate carries
-    it.  Raises DomainError where the value is not a normal float.
+    One _log_s2 call: log |S_2(s+1)| = L(s) - log |2 sin pi d| by the
+    ladder, with L(s) = log |S_2(s)| and d = s - round(s) exact, so s + 1
+    is never formed.  The estimate adds 2 err(L(s)), the sine's rounding
+    (as in _log_s2) and the rounding of the sum.  Raises DomainError
+    where the value is not a normal float.
     """
     e = 2 - 2 * params.genus
     log_a, _, err_a = _log_s2(s)
-    log_b, _, err_b = _log_s2(s + 1)
-    slope = abs(math.pi * s / math.tan(math.pi * (s - round(s))))
-    log_v = log_a + log_b
-    return _from_log(e * log_v, abs(e) * (err_a + err_b + slope * math.ulp(s + 1)
-                                          + _EPS * abs(log_v)),
+    d = s - round(s)
+    if abs(d) < 1e-12:              # s = 1: S_2(1) = 1, but S_2(2) is a pole
+        raise PoleError(f"S_2 evaluation hits a sine zero/pole at integer s={s + 1}")
+    log_sine = math.log(abs(2.0 * math.sin(math.pi * d)))
+    log_v = 2 * log_a - log_sine
+    return _from_log(e * log_v, abs(e) * (2 * err_a + _EPS * (2 + abs(log_sine)
+                                                              + abs(log_v))),
                      f"s_M({s!r}) at genus {params.genus}")
 
 

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selbergfe.formal import (EMPTY, FormalProduct, canonicalize,
-                              derive_base_zeta_fe, format_product,
-                              from_motive_Z, from_motive_zeta, quotient,
-                              reflect_Z, reflect_zeta, s_motive_factor,
-                              verify_theorem2, verify_theorem3, verify_Z_fe)
-from selbergfe.laurent import LaurentPoly, binom_power, eval_at_one
+from selbergfe.formal import (EMPTY, FormalProduct, Verdict, _add,
+                              canonicalize, derive_base_zeta_fe,
+                              format_product, from_motive_Z,
+                              from_motive_zeta, quotient, reflect_Z,
+                              reflect_zeta, s_motive_factor, verify_theorem2,
+                              verify_theorem3, verify_Z_fe)
+from selbergfe.laurent import (LaurentPoly, SymmetryKind, binom_power,
+                               detect_automorphy, eval_at_one, has_symmetry)
 
 small_polys = st.dictionaries(st.integers(-3, 3), st.integers(-2, 2),
                               max_size=7).map(LaurentPoly)
@@ -24,6 +26,11 @@ wide_maps = st.dictionaries(st.integers(-8, 8), st.integers(-3, 3).filter(bool),
                             max_size=5)
 wide_products = st.builds(FormalProduct, wide_maps, wide_maps, wide_maps,
                           st.integers(-5, 5))
+# canonical: the only S_2 key is S_2(s) itself
+canonical_products = st.builds(
+    FormalProduct, wide_maps, wide_maps,
+    st.dictionaries(st.just(0), st.integers(-3, 3).filter(bool)),
+    st.integers(-5, 5))
 
 
 # -- the exponent map ----------------------------------------------------
@@ -226,12 +233,73 @@ def test_theorem_equivalence_sampled():
             assert v3.consistent, (f, D)
 
 
+@given(canonical_products, canonical_products, st.integers(-3, 3))
+@settings(max_examples=200)
+def test_canonical_products_closed_under_group_law(a, b, e):
+    """The invariant the verifiers rest on: a merge or power of canonical
+    products needs no rewrite."""
+    assert a.is_canonical() and b.is_canonical()
+    for p in (a * b, a ** e, _add(a._exp, b._exp, -1)):
+        assert p.is_canonical()
+
+
+def _engine_verdicts(f, D):
+    """The three verdicts composed from the public engine: canonicalize
+    each side, then the canonicalized quotient."""
+    def verdict(lhs, rhs, condition=None):
+        lhs, rhs = canonicalize(lhs), canonicalize(rhs)
+        res = quotient(lhs, rhs)
+        return Verdict(res.is_empty(), lhs, rhs, res, condition)
+
+    zeta = from_motive_zeta(f)
+    yield verify_theorem2(f, D), verdict(reflect_zeta(f, D), zeta,
+                                         has_symmetry(f, D, -1))
+    yield verify_theorem3(f, D), verdict(
+        reflect_zeta(f, D),
+        zeta.inverse() * FormalProduct(sin_exp=2 * eval_at_one(f)),
+        has_symmetry(f, D, +1))
+    auto = detect_automorphy(f)
+    if D == auto.D and auto.kind in (SymmetryKind.ODD, SymmetryKind.EVEN):
+        yield verify_Z_fe(f), verdict(
+            reflect_Z(f, auto.D),
+            (from_motive_Z(f) * s_motive_factor(f)) ** auto.C)
+
+
+def test_verifiers_equal_engine_composition():
+    """Over the -3..3 window (coefficients -1..1) and (x-1)^r, x (x-1)^r
+    for r = 1..8, at every D in -8..8: each verdict equals the generic
+    canonicalize-then-quotient composition, and its products are canonical."""
+    window = (LaurentPoly(dict(zip(range(-3, 4), c)))
+              for c in itertools.product((-1, 0, 1), repeat=7))
+    binomials = [g for r in range(1, 9)
+                 for g in (binom_power(r), LaurentPoly({1: 1}) * binom_power(r))]
+    checked = 0
+    for f in itertools.chain(window, binomials):
+        for D in range(-8, 9):
+            for got, want in _engine_verdicts(f, D):
+                assert got == want, (f, D)
+                assert all(p.is_canonical() for p in
+                           (got.lhs_canonical, got.rhs_canonical, got.residual))
+                checked += 1
+    assert checked > 2 * 17 * 3 ** 7
+
+
 # -- the Z-side functional equation --------------------------------------
 
 def test_s_motive_factor_inverse_motive():
     # S_{M(f)}(s) for f = x^-1 - 1 collapses to (2 sin pi s)^(4-4g)
     p = s_motive_factor(LaurentPoly({-1: 1, 0: -1}))
     assert p == FormalProduct(sin_exp=-2)
+
+
+@given(small_polys)
+@settings(max_examples=300)
+def test_s_motive_factor_is_canonical_form_of_definition(f):
+    """The closed form against its definition, canonicalized by the engine."""
+    raw = EMPTY
+    for k, a in f.coeffs.items():
+        raw = raw * FormalProduct(s2_exp={-k: 1, 1 - k: 1}) ** a
+    assert s_motive_factor(f) == canonicalize(raw)
 
 
 def test_s_motive_factor_squared_motive_empty():

@@ -358,16 +358,26 @@ def test_s_M_against_mpmath(genus, s):
 
 
 @pytest.mark.parametrize("s", [1.000001, 3.0000001])
-def test_s_M_estimate_carries_rounding_of_s_plus_1(s):
-    """s + 1 rounds here, next to a pole of cot pi s: s_M is then off by far
-    more than the kernel's error, and the estimate still covers it."""
+def test_s_M_accurate_where_s_plus_1_rounds(s):
+    """s + 1 rounds here, next to a pole of cot pi s, where an evaluation
+    of S_2 at the float s + 1 would be off by up to 2.7e-8 relative: s_M
+    never forms s + 1, so it stays accurate and within its estimate."""
     assert (s + 1) - 1 != s
     sv = s_M(s, SurfaceParams(2))
     with mpmath.workdps(30):
         a = _mp_s2_closed_form(s)
         ref = (a * a / (2 * mpmath.sinpi(s))) ** -2
     err = float(abs(sv.value - ref))
-    assert 1e-10 * abs(ref) < err <= sv.abs_err_estimate
+    assert err <= 1e-10 * abs(ref)
+    assert err <= sv.abs_err_estimate
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0, 1 + 1e-13, 2.0, -1.0])
+def test_s_M_integer_is_pole_error(s):
+    """S_2(s) S_2(s+1) has a zero or pole at every integer s, also at
+    s = 1, where S_2(1) = 1 but S_2(2) is a pole."""
+    with pytest.raises(PoleError, match="sine zero/pole at integer"):
+        s_M(s, SurfaceParams(2))
 
 
 def test_s_M_exponent_linearity():
