@@ -6,11 +6,14 @@ an enumeration that cannot go on), reported on one line.  All numeric output
 uses 17 significant decimal digits; tabular output is CSV, to stdout
 or to --out.  An option is accepted only where it is read: a --genus,
 --r or --w that the chosen special function or identity ignores is a
-usage error, and nothing is read from a config file.
+usage error, and nothing is read from a config file.  main builds the
+argparse tree once per process, on its first call rather than at
+import, and reuses it: argparse keeps no state between calls.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import List, Optional, Sequence
@@ -327,10 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the one parser of the process, built by the first main call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -37,23 +37,32 @@ prefix of the rows.  Each Euler product's error estimate bounds the
 floating-point rounding of its terms, sums and final exp, plus, for Z,
 the truncation of that series; the spectrum itself is finite, which its
 completeness horizon discloses.
+
+A spectrum file is text: '# key=value' header lines (genus and horizon
+required, source optional), anywhere in the file, and one '<length>
+<multiplicity>' row per other non-blank line, an ASCII decimal float
+and an ASCII decimal int64, in strictly increasing length.
+load_spectrum reads every row in one bulk parse and checks the order in
+one vectorised comparison; it reads the lines one at a time only to
+name the first bad one, once either has failed.
 """
 from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 import tempfile
 import warnings
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, NoReturn, Sequence, Tuple
 
 import numpy as np
 
 from .laurent import LaurentPoly
-from .special import (_FLOAT_MIN, DomainError, SpecialValue, SurfaceParams,
-                      _exp, _normal)
+from .special import (_FLOAT_MAX, _FLOAT_MIN, DomainError, SpecialValue,
+                      SurfaceParams, _exp, _normal)
 
 _TRACE_TOL = 1e-9
 _LENGTH_MERGE_TOL = 1e-9
@@ -378,52 +387,108 @@ def save_spectrum(sp: LengthSpectrum, path: str) -> None:
         raise
 
 
+# one data row, as the bulk parse reads it
+_ROW = np.dtype([("length", np.float64), ("mult", np.int64)])
+# a header line, with the newline before it: "\n" + text gives the first
+# line one too.  [^\S\n] is the whitespace str.strip removes, bar "\n".
+_HEADER_LINE = re.compile(r"\n[^\S\n]*#([^\n]*)")
+
+
 def load_spectrum(path: str) -> LengthSpectrum:
-    genus = None
-    source = ""
-    horizon = None
-    entries: List[Tuple[float, int]] = []
+    """Read a file that save_spectrum wrote, or one of the same grammar.
+
+    Lines are split at "\n", "\r\n" or "\r"; blank lines are skipped.
+    A line whose first non-blank character is '#' is a header, wherever
+    it lies: '# genus=<int>' and '# horizon=<float>' are required, '#
+    source=<text>' is optional, the last of each wins, and any other
+    header is ignored.  Every other line is one row, '<length>
+    <multiplicity>' separated by whitespace: an ASCII decimal float
+    (inf and nan spelled out) and an ASCII decimal integer within int64,
+    neither with underscores.  Lengths must strictly increase.
+
+    All rows are read by one bulk parse and checked by one vectorised
+    comparison.  Only when either fails are the lines read one at a
+    time, to raise the SpectrumFormatError of the first bad line.
+    """
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" not in body:
-                    continue
-                key, value = body.split("=", 1)
-                key = key.strip()
-                try:
-                    if key == "genus":
-                        genus = int(value)
-                    elif key == "source":
-                        source = value.strip()
-                    elif key == "horizon":
-                        horizon = float(value)
-                except ValueError as exc:
-                    raise SpectrumFormatError(path, lineno,
-                                              f"{key}: {exc}") from None
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise SpectrumFormatError(path, lineno,
-                                          "expected '<length> <multiplicity>'")
-            try:
-                ell = float(parts[0])
-                mult = int(parts[1])
-            except ValueError as exc:
-                raise SpectrumFormatError(path, lineno, str(exc)) from None
-            if entries and ell <= entries[-1][0]:
-                raise SpectrumFormatError(path, lineno,
-                                          "lengths must be strictly increasing")
-            entries.append((ell, mult))
-    if genus is None:
+        text = fh.read()
+    pieces = _HEADER_LINE.split("\n" + text)
+    headers: dict = {}
+    try:
+        for body in pieces[1::2]:
+            _read_header(body, headers)
+        data = "".join(pieces[0::2])
+        # loadtxt warns on input with no row at all
+        rows = (np.loadtxt(data.split("\n"), dtype=_ROW, comments=None,
+                           ndmin=1) if data.strip() else np.empty(0, _ROW))
+        lengths = rows["length"]
+        if np.any(lengths[1:] <= lengths[:-1]):
+            raise ValueError("lengths must be strictly increasing")
+    except ValueError as exc:
+        _raise_first_bad_line(path, text, exc)
+    if "genus" not in headers:
         raise SpectrumFormatError(path, 0, "missing '# genus=' header")
-    if horizon is None:
+    if "horizon" not in headers:
         raise SpectrumFormatError(path, 0, "missing '# horizon=' header")
-    return LengthSpectrum(entries=entries, genus=genus, source=source,
-                          horizon=horizon)
+    return LengthSpectrum(
+        entries=tuple(zip(lengths.tolist(), rows["mult"].tolist())),
+        genus=headers["genus"], source=headers.get("source", ""),
+        horizon=headers["horizon"])
+
+
+def _read_header(body: str, headers: dict) -> None:
+    """Store one header, the text after its '#', in headers by key;
+    ValueError, naming the key, for a bad genus or horizon."""
+    key, sep, value = body.strip().partition("=")
+    if not sep:
+        return
+    key = key.strip()
+    try:
+        if key == "genus":
+            headers["genus"] = int(value)
+        elif key == "source":
+            headers["source"] = value.strip()
+        elif key == "horizon":
+            headers["horizon"] = float(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def _read_row(line: str) -> float:
+    """The length of one stripped data line; ValueError where load_spectrum
+    refuses the line."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise ValueError("expected '<length> <multiplicity>'")
+    ell, mult = float(parts[0]), int(parts[1])
+    # float and int also read underscores, non-ASCII digits and integers
+    # beyond int64; the bulk parse does not
+    if ("_" in line or not (parts[0].isascii() and parts[1].isascii())
+            or not -2 ** 63 <= mult < 2 ** 63):
+        raise ValueError("expected an ASCII decimal length and an int64 "
+                         "multiplicity, without underscores")
+    return ell
+
+
+def _raise_first_bad_line(path: str, text: str,
+                          cause: ValueError) -> NoReturn:
+    """Raise the SpectrumFormatError of the first line of text that
+    load_spectrum refuses, reading the lines one at a time."""
+    previous = None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        try:
+            if line.startswith("#"):
+                _read_header(line[1:], {})
+            elif line:
+                ell = _read_row(line)
+                if previous is not None and ell <= previous:
+                    raise ValueError("lengths must be strictly increasing")
+                previous = ell
+        except ValueError as exc:
+            raise SpectrumFormatError(path, lineno, str(exc)) from None
+    # each line passes alone, so only the bulk parse can have refused them
+    raise SpectrumFormatError(path, 0, str(cause)) from cause
 
 
 # -- Euler products ------------------------------------------------------
@@ -433,6 +498,20 @@ _EPS = sys.float_info.epsilon
 # y^k is still above 2^-60 of y, i.e. while (k - 1)(s + 1) length <= this:
 # the tail beyond it is then far below the rounding of the row's first term.
 _SERIES_DEPTH = 60.0 * math.log(2.0)
+
+
+def _exp_neg(ell: np.ndarray, p: float) -> np.ndarray:
+    """exp(-ell p) elementwise, for increasing ell >= 0 and p > 0.
+
+    Where ell p overflows to inf, exp gives 0: the exact value is below
+    the least subnormal there, so 0 is its correct rounding, and that
+    overflow is not reported.  The last ell overflows first, so the
+    errstate, a few microseconds a call, is entered only then.
+    """
+    if not ell.size or float(ell[-1]) * p <= _FLOAT_MAX:
+        return np.exp(ell * -p)
+    with np.errstate(over="ignore"):
+        return np.exp(ell * -p)
 
 
 def _log_factors(ell: np.ndarray, p: float, q: np.ndarray,
@@ -485,7 +564,7 @@ def _log_Z_series(s: float, sp: LengthSpectrum, limit: float = math.inf
     positive, so the series only grows from there.
     """
     ell, mult = sp.lengths, sp.mults
-    y = np.exp(ell * -(s + 1.0))
+    y = _exp_neg(ell, s + 1.0)
     one_minus_r = -np.expm1(-ell)
     yk, n, k = y, ell.size, 1
     series, partial, trunc, round_k = [], 0.0, 0.0, 0.0
@@ -547,7 +626,7 @@ def _log_euler_zeta(s: float, sp: LengthSpectrum) -> Tuple[float, float]:
     Raises DomainError where a length is so short that N(P)^-s rounds
     to 1, which would make its factor infinite.
     """
-    q = np.exp(sp.lengths * -s)
+    q = _exp_neg(sp.lengths, s)
     # the lengths increase, so the first q is the largest
     if q.size and q[0] == 1.0:
         raise DomainError(

@@ -18,6 +18,7 @@ by direct quadrature and cross-checks the sine-product form.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -296,11 +297,13 @@ _ORDERS = frozenset((1, 2, 3, 4))
 
 def _kernel_args(name: str, r: int, w: Number, s: float) -> None:
     """The kernel front-ends' argument rules, naming the caller: order r
-    in 1..4, s > 0, and no pole at w = 1..r."""
+    in 1..4, s > 0, a finite w, and no pole at w = 1..r."""
     if r not in _ORDERS:
         raise DomainError(f"{name}: order r must be in 1..4, got {r}")
     if not s > 0:
         raise DomainError(f"{name} requires s > 0, got s={s}")
+    if not cmath.isfinite(w):
+        raise DomainError(f"{name} requires a finite w, got w={w}")
     if w in _ORDERS and complex(w).real <= r:
         raise PoleError(f"{name} of order {r} has a pole at w={complex(w).real:g}")
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -188,6 +192,15 @@ def test_runtime_error_exit_2(capsys, tmp_path, monkeypatch):
     assert err == "error: non-identity word with |trace| <= 2 encountered\n"
 
 
+@pytest.mark.parametrize("w", ["infj", "nan", "inf"])
+def test_special_eval_zr_non_finite_w_exit_2(capsys, w):
+    code, out, err = run(capsys, "special", "eval", "--fn", "zr", f"--w={w}",
+                         "--s", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: multiple_hurwitz_zeta requires a finite w, got "
+                   f"w={complex(w)}\n")
+
+
 def test_special_eval_zr_needs_w(capsys):
     code, _, err = run(capsys, "special", "eval", "--fn", "zr", "--s", "1.0")
     assert code == 2
@@ -278,6 +291,18 @@ def test_zeta_eval_length_too_short_exit_2(capsys, tmp_path, recwarn, argv):
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("argv", [(), ("--fn", "Z"), ("--motive=-1=1,0=-1",)])
+def test_zeta_eval_huge_s_exit_0(capsys, tmp_path, argv):
+    """length * 1e308 overflows to inf, and exp(-inf) = 0 is the correctly
+    rounded factor: every factor is 1, with no numpy warning."""
+    spath = str(tmp_path / "sp.txt")
+    run(capsys, "spectrum", "bolza", "--max-word-len", "2", "--out", spath)
+    code, out, err = run(capsys, "zeta", "eval", "--spectrum", spath,
+                         "--s", "1e308", *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "value = 1.0000000000000000e+00"
+
+
 @pytest.mark.parametrize("xmax", ["inf", "1e400", "nan"])
 @pytest.mark.parametrize("points", ["1", "3"])
 def test_pgt_non_finite_xmax_exit_2(capsys, tmp_path, xmax, points):
@@ -310,6 +335,54 @@ def test_spectrum_bolza_beyond_memory_exit_2(capsys, tmp_path, monkeypatch):
     assert (code, out) == (2, "")
     assert "GiB of physical memory" in err
     assert not spath.exists()
+
+
+def test_parser_built_once_not_at_import():
+    script = textwrap.dedent("""
+        import argparse, contextlib, io
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counted
+        from selbergfe import cli
+        counts = [len(built)]
+        for _ in range(2):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["fe", "derive-base"]) == 0
+            counts.append(len(built))
+        print(*counts)
+    """)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    at_import, first, second = map(int, proc.stdout.split())
+    assert at_import == 0 and first > 0 and second == first
+
+
+def test_cached_parser_keeps_no_state(capsys, tmp_path, monkeypatch):
+    spath = tmp_path / "sp.txt"
+    spath.write_text("# genus=2\n# horizon=3\n3.0 2\n4.0 2\n")
+    calls = [
+        ("special", "eval", "--fn", "nosuch", "--s", "1"),
+        ("--out", str(tmp_path / "base.txt"), "fe", "derive-base"),
+        ("fe", "derive-base"),
+        ("zeta", "eval", "--spectrum", str(spath), "--s", "4",
+         "--motive=-1=1,0=-1"),
+        ("zeta", "eval", "--spectrum", str(spath), "--s", "4"),
+        ("special", "eval", "--fn", "sM", "--s", "0.3", "--genus", "3"),
+        ("special", "eval", "--fn", "sM", "--s", "0.3"),
+    ]
+    cached = [run(capsys, *argv) for argv in calls]
+    # a parser built afresh for each call, as if each ran in its own process
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run(capsys, *argv) for argv in calls]
+    assert cached == fresh
+    assert cached[0][0] == 2 and "invalid choice: 'nosuch'" in cached[0][2]
+    assert cached[1][1] == "" and cached[2][1].startswith("claim: ")
+    assert cached[3][1] != cached[4][1] and cached[5][1] != cached[6][1]
 
 
 def test_usage_error_exit_2(capsys):

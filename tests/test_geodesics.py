@@ -216,9 +216,12 @@ def _spectrum_sha256(sp, tmp_path):
 
 @pytest.mark.parametrize("max_word_len", sorted(SPECTRUM_SHA256))
 def test_spectrum_file_golden(bolza, tmp_path, max_word_len):
-    digest = _spectrum_sha256(enumerate_spectrum(bolza, max_word_len),
-                              tmp_path)
-    assert digest == SPECTRUM_SHA256[max_word_len]
+    sp = enumerate_spectrum(bolza, max_word_len)
+    assert _spectrum_sha256(sp, tmp_path) == SPECTRUM_SHA256[max_word_len]
+    # and the file reads back bit for bit
+    loaded = load_spectrum(str(tmp_path / "sp.txt"))
+    assert loaded.lengths.tobytes() == sp.lengths.tobytes()
+    assert loaded.entries == sp.entries
 
 
 def test_spectrum_independent_of_chunk(bolza, tmp_path, monkeypatch):
@@ -280,13 +283,17 @@ def test_spectrum_horizon_must_be_finite_and_nonnegative(entries, horizon):
 
 # -- persistence ---------------------------------------------------------
 
-def test_save_load_roundtrip(spectrum5, tmp_path):
+@pytest.mark.parametrize("max_word_len", [5, 7])
+def test_save_load_roundtrip(request, tmp_path, max_word_len):
+    sp = request.getfixturevalue(f"spectrum{max_word_len}")
     path = str(tmp_path / "sp.txt")
-    save_spectrum(spectrum5, path)
+    save_spectrum(sp, path)
     loaded = load_spectrum(path)
-    assert loaded.entries == spectrum5.entries
-    assert loaded.genus == spectrum5.genus
-    assert loaded.horizon == spectrum5.horizon
+    assert loaded.entries == sp.entries
+    assert loaded.lengths.tobytes() == sp.lengths.tobytes()
+    assert all(type(m) is int for _, m in loaded.entries)
+    assert (loaded.genus, loaded.source) == (sp.genus, sp.source)
+    assert loaded.horizon == sp.horizon
 
 
 def test_load_rejects_decreasing(tmp_path):
@@ -330,6 +337,99 @@ def test_load_rejects_malformed_row(tmp_path):
     with pytest.raises(SpectrumFormatError) as err:
         load_spectrum(str(path))
     assert err.value.lineno == 3
+
+
+_NOT_READ = ("expected an ASCII decimal length and an int64 multiplicity, "
+             "without underscores")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("4.0 2 # note", "expected '<length> <multiplicity>'"),
+    ("4.0 2#note", "invalid literal for int() with base 10: '2#note'"),
+    ("4.0 2 5", "expected '<length> <multiplicity>'"),
+    ("4.0,2", "expected '<length> <multiplicity>'"),
+    ("4.0 2.0", "invalid literal for int() with base 10: '2.0'"),
+    ("0x4 2", "could not convert string to float: '0x4'"),
+    ("2.0 2", "lengths must be strictly increasing"),
+    ("3.0 2", "lengths must be strictly increasing"),
+    # rows that float and int read but the bulk parse does not
+    ("4.0 2_0", _NOT_READ),
+    ("4_0.5 2", _NOT_READ),
+    ("4.0 \u0662", _NOT_READ),
+    ("4.0 99999999999999999999", _NOT_READ),
+], ids=["inline-comment", "glued-comment", "three-fields", "comma",
+        "float-multiplicity", "hex-length", "decreasing", "repeated",
+        "underscore-multiplicity", "underscore-length", "non-ascii-digit",
+        "beyond-int64"])
+@pytest.mark.parametrize("after", ["", "5.0 x\n# genus=x\n"],
+                         ids=["alone", "before-other-errors"])
+def test_load_names_the_first_bad_row(tmp_path, row, message, after):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# genus=2\n# horizon=2.0\n3.0 2\n{row}\n5.0 2\n"
+                    + after)
+    with pytest.raises(SpectrumFormatError) as err:
+        load_spectrum(str(path))
+    assert err.value.lineno == 4
+    assert str(err.value) == f"{path}:4: {message}"
+
+
+def test_load_names_a_bad_header_before_a_bad_row(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# genus=2\n3.0 2\n# horizon=x\n4.0 x\n")
+    with pytest.raises(SpectrumFormatError, match=":3: horizon: could not"):
+        load_spectrum(str(path))
+
+
+def test_load_reads_headers_after_the_rows(tmp_path):
+    path = tmp_path / "sp.txt"
+    path.write_text("3.0 2\n  # genus=3\n4.0 2\n# horizon=2.5\n"
+                    "# source=a # b\n# note\n")
+    sp = load_spectrum(str(path))
+    assert sp.entries == ((3.0, 2), (4.0, 2))
+    assert (sp.genus, sp.horizon, sp.source) == (3, 2.5, "a # b")
+
+
+@pytest.mark.parametrize("text", ["# genus=2\n# horizon=2.0\n",
+                                  "# genus=2\n\n# horizon=2.0",
+                                  "\n  \n# genus=2\n# horizon=2.0\n\t\n"])
+def test_load_header_only_file(tmp_path, text):
+    path = tmp_path / "sp.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sp = load_spectrum(str(path))
+    assert (sp.entries, sp.lengths.size, sp.genus) == ((), 0, 2)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_load_line_endings(tmp_path, spectrum5, newline):
+    plain = tmp_path / "plain.txt"
+    save_spectrum(spectrum5, str(plain))
+    other = tmp_path / "other.txt"
+    other.write_bytes(plain.read_bytes().replace(b"\n", newline.encode()))
+    a, b = load_spectrum(str(plain)), load_spectrum(str(other))
+    assert a.lengths.tobytes() == b.lengths.tobytes()
+    assert (a.entries, a.genus, a.source, a.horizon) == \
+        (b.entries, b.genus, b.source, b.horizon)
+
+
+_TOKEN = st.text(alphabet="0123456789+-.eEinfINF_x", min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(length=_TOKEN, mult=_TOKEN,
+       sep=st.sampled_from([" ", "\t", "  ", "\x0c", "\u3000"]))
+def test_load_accepts_only_what_float_and_int_read(tmp_path_factory, length,
+                                                   mult, sep):
+    # a row is read, if at all, as float and int read its two fields
+    path = tmp_path_factory.mktemp("row") / "sp.txt"
+    path.write_text(f"# genus=2\n# horizon=0\n{length}{sep}{mult}\n")
+    try:
+        ell, m = load_spectrum(str(path)).entries[0]
+    except ValueError:
+        return
+    assert type(m) is int and m == int(mult)
+    assert ell == float(length)
 
 
 # -- Euler products ------------------------------------------------------

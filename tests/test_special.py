@@ -135,15 +135,20 @@ def test_higher_order_vs_brute_force(r):
 
 
 @pytest.mark.parametrize("name, call", [
-    ("hurwitz_zeta", lambda s: hurwitz_zeta(2.0, s)),
-    ("hurwitz_zeta_dw", lambda s: hurwitz_zeta_dw(2.0, s)),
-    ("multiple_hurwitz_zeta", lambda s: multiple_hurwitz_zeta(2, 3.0, s)),
-    ("log_gamma_r", lambda s: log_gamma_r(2, s)),
+    ("hurwitz_zeta", lambda w, s: hurwitz_zeta(w, s)),
+    ("hurwitz_zeta_dw", lambda w, s: hurwitz_zeta_dw(w, s)),
+    ("multiple_hurwitz_zeta", lambda w, s: multiple_hurwitz_zeta(2, w, s)),
+    ("log_gamma_r", lambda w, s: log_gamma_r(2, s)),   # its w is 0
 ])
 def test_kernel_domain_errors_name_the_caller(name, call):
     for s in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError, match=re.escape(f"{name} requires s > 0, got s={s}")):
-            call(s)
+            call(3.0, s)
+    if name == "log_gamma_r":
+        return
+    for w in (complex("infj"), math.nan, math.inf):
+        with pytest.raises(DomainError, match=re.escape(f"{name} requires a finite w, got w={w}")):
+            call(w, 1.0)
 
 
 def test_kernel_pole_errors_name_the_caller():
