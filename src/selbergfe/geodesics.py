@@ -61,8 +61,8 @@ from typing import Iterator, List, NoReturn, Sequence, Tuple
 import numpy as np
 
 from .laurent import LaurentPoly
-from .special import (_FLOAT_MAX, _FLOAT_MIN, DomainError, SpecialValue,
-                      SurfaceParams, _exp, _normal)
+from .special import (_FLOAT_MIN, DomainError, SpecialValue, SurfaceParams,
+                      _exp, _normal)
 
 _TRACE_TOL = 1e-9
 _LENGTH_MERGE_TOL = 1e-9
@@ -418,13 +418,18 @@ def load_spectrum(path: str) -> LengthSpectrum:
         for body in pieces[1::2]:
             _read_header(body, headers)
         data = "".join(pieces[0::2])
-        # loadtxt warns on input with no row at all
-        rows = (np.loadtxt(data.split("\n"), dtype=_ROW, comments=None,
-                           ndmin=1) if data.strip() else np.empty(0, _ROW))
+        with warnings.catch_warnings():
+            # older numpy reads an int field such as '2.5' through float,
+            # with only a DeprecationWarning; refuse it, as int() does
+            warnings.simplefilter("error", DeprecationWarning)
+            # loadtxt warns on input with no row at all
+            rows = (np.loadtxt(data.split("\n"), dtype=_ROW, comments=None,
+                               ndmin=1) if data.strip()
+                    else np.empty(0, _ROW))
         lengths = rows["length"]
         if np.any(lengths[1:] <= lengths[:-1]):
             raise ValueError("lengths must be strictly increasing")
-    except ValueError as exc:
+    except (ValueError, DeprecationWarning) as exc:
         _raise_first_bad_line(path, text, exc)
     if "genus" not in headers:
         raise SpectrumFormatError(path, 0, "missing '# genus=' header")
@@ -471,7 +476,7 @@ def _read_row(line: str) -> float:
 
 
 def _raise_first_bad_line(path: str, text: str,
-                          cause: ValueError) -> NoReturn:
+                          cause: Exception) -> NoReturn:
     """Raise the SpectrumFormatError of the first line of text that
     load_spectrum refuses, reading the lines one at a time."""
     previous = None
@@ -505,11 +510,8 @@ def _exp_neg(ell: np.ndarray, p: float) -> np.ndarray:
 
     Where ell p overflows to inf, exp gives 0: the exact value is below
     the least subnormal there, so 0 is its correct rounding, and that
-    overflow is not reported.  The last ell overflows first, so the
-    errstate, a few microseconds a call, is entered only then.
+    overflow is not reported.
     """
-    if not ell.size or float(ell[-1]) * p <= _FLOAT_MAX:
-        return np.exp(ell * -p)
     with np.errstate(over="ignore"):
         return np.exp(ell * -p)
 
