@@ -192,9 +192,9 @@ def _cmd_spectrum_bolza(args, out: _Output) -> int:
     sp = geodesics.enumerate_spectrum(geodesics.bolza_group(),
                                       args.max_word_len)
     geodesics.save_spectrum(sp, args.spectrum_out)
-    out.write(f"wrote {len(sp.entries)} length entries "
+    out.write(f"wrote {sp.lengths.size} length entries "
               f"({sp.total_classes()} classes) to {args.spectrum_out}")
-    out.write(f"systole = {_fmt(sp.entries[0][0])}")
+    out.write(f"systole = {_fmt(float(sp.lengths[0]))}")
     out.write(f"horizon = {_fmt(sp.horizon)}")
     return 0
 

@@ -28,15 +28,14 @@ Geodesics gamma and gamma^-1 are counted as distinct throughout, the
 convention under which the sine factor in the functional equation has
 degree 4-4g.
 
-A LengthSpectrum is frozen and carries one read-only array view of its
-rows (lengths, multiplicities, cumulative multiplicities), built when it
-is made.  The Euler products and the counts are array arithmetic over
-that view.  Z is summed as log Z(s) = -log zeta(s) minus a power series
-in y = exp(-length (s+1)), one short pass per power over a shrinking
-prefix of the rows.  Each Euler product's error estimate bounds the
-floating-point rounding of its terms, sums and final exp, plus, for Z,
-the truncation of that series; the spectrum itself is finite, which its
-completeness horizon discloses.
+A LengthSpectrum is frozen, and its rows are read-only arrays: lengths,
+multiplicities and cumulative multiplicities.  The Euler products and
+the counts are array arithmetic over them.  Z is summed as log Z(s) =
+-log zeta(s) minus a power series in y = exp(-length (s+1)), one short
+pass per power over a shrinking prefix of the rows.  Each Euler
+product's error estimate bounds the floating-point rounding of its
+terms, sums and final exp, plus, for Z, the truncation of that series;
+the spectrum itself is finite, which its completeness horizon discloses.
 
 A spectrum file is text: '# key=value' header lines (genus and horizon
 required, source optional), anywhere in the file, and one '<length>
@@ -48,6 +47,7 @@ name the first bad one, once either has failed.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -55,7 +55,6 @@ import sys
 import tempfile
 import warnings
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterator, List, NoReturn, Sequence, Tuple
 
 import numpy as np
@@ -82,50 +81,50 @@ _CLASSIFY_CHUNK = 1 << 16
 BOLZA_LENGTH = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LengthSpectrum:
     """Length spectrum: (length, multiplicity) rows in increasing length.
 
-    Frozen, so the array view built once by __post_init__ cannot go
-    stale.  The view is read-only float64: `lengths` and `mults`, one
+    The rows are owned, read-only, C-contiguous float64 copies of the
+    caller's arrays: `lengths` and `mults` (given as integers), one
     element per row, and `cum_mults`, one element more: cum_mults[i] is
     the number of classes in the first i rows, exact below 2**53.
+    `entries`, the rows as (float, int) pairs, is built on first read.
     """
-    entries: Tuple[Tuple[float, int], ...]
+    lengths: np.ndarray
+    mults: np.ndarray
     genus: int
     source: str
     horizon: float
-    lengths: np.ndarray = field(init=False, repr=False, compare=False)
-    mults: np.ndarray = field(init=False, repr=False, compare=False)
-    cum_mults: np.ndarray = field(init=False, repr=False, compare=False)
+    cum_mults: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         SurfaceParams(self.genus)  # the one genus rule: ValueError below 2
-        entries = tuple(self.entries)
-        n = len(entries)
-        lengths = np.fromiter(map(itemgetter(0), entries), np.float64, n)
-        try:
-            mults = np.fromiter(map(itemgetter(1), entries), np.float64, n)
-        except OverflowError:
-            raise ValueError("a multiplicity exceeds the float range") from None
+        lengths = np.array(self.lengths, dtype=np.float64)
+        n = lengths.size
+        if lengths.shape != (n,) or np.shape(self.mults) != (n,):
+            raise ValueError("lengths and mults must be 1-D and of one size")
+        mults = _integer_mults(self.mults, lengths)
         # the first offending row names the error, its multiplicity first
         low = np.flatnonzero(mults < 1)
         close = np.flatnonzero(~(np.diff(lengths) > _LENGTH_MERGE_TOL)) + 1
         if low.size and not (close.size and close[0] < low[0]):
             raise ValueError("multiplicity must be >= 1 at length "
-                             f"{entries[low[0]][0]}")
+                             f"{float(lengths[low[0]])}")
         if close.size:
             i = close[0]
             raise ValueError(
                 f"lengths must increase by more than {_LENGTH_MERGE_TOL}: "
-                f"{entries[i - 1][0]} then {entries[i][0]}")
+                f"{float(lengths[i - 1])} then {float(lengths[i])}")
         if n and not lengths[0] > 0:
-            raise ValueError(f"lengths must be positive, got {entries[0][0]}")
+            raise ValueError(
+                f"lengths must be positive, got {float(lengths[0])}")
         if not 0.0 <= self.horizon < math.inf:
             raise ValueError("completeness horizon must be finite and >= 0, "
                              f"got {self.horizon}")
         if n and self.horizon > lengths[-1] + 1e-12:
             raise ValueError("completeness horizon exceeds max recorded length")
+        mults = mults.astype(np.float64)
         cum = np.concatenate(([0.0], np.cumsum(mults)))
         if cum[-1] > 2.0 ** 53:
             raise ValueError("more than 2**53 classes: counts would be inexact")
@@ -133,10 +132,33 @@ class LengthSpectrum:
                           ("cum_mults", cum)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "entries", entries)
+
+    @functools.cached_property
+    def entries(self) -> Tuple[Tuple[float, int], ...]:
+        return tuple(zip(self.lengths.tolist(), map(int, self.mults.tolist())))
 
     def total_classes(self) -> int:
         return int(self.cum_mults[-1])
+
+
+def _integer_mults(mults, lengths: np.ndarray) -> np.ndarray:
+    """mults as an integer array, of the size of lengths; ValueError naming
+    the length of the first row whose multiplicity is not an integer within
+    int64, bools refused.  An array is checked by its dtype, and its first
+    row named; a sequence item by item, since np.asarray reads [2, True]
+    as integers."""
+    array = isinstance(mults, np.ndarray)
+    if array:
+        first = None if mults.dtype.kind in "iu" else 0
+    else:
+        first = next((i for i, m in enumerate(mults)
+                      if isinstance(m, (bool, np.bool_))
+                      or not isinstance(m, (int, np.integer))
+                      or not -2 ** 63 <= m < 2 ** 63), None)
+    if first is not None:
+        raise ValueError("multiplicity must be an integer (not a bool) within "
+                         f"int64 at length {float(lengths[first])}")
+    return mults if array else np.array(mults, dtype=np.int64)
 
 
 def bolza_group() -> np.ndarray:
@@ -295,8 +317,8 @@ def _classify_frontier(n: int, codes: np.ndarray, inv: np.ndarray,
     return np.concatenate(found)
 
 
-def _merge_rows(sorted_lengths: np.ndarray) -> List[Tuple[float, int]]:
-    """Spectrum rows (length, multiplicity) of ascending class lengths.
+def _merge_rows(sorted_lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Spectrum rows (lengths, multiplicities) of ascending class lengths.
 
     A length joins the current row when it exceeds the row's first
     length by at most _LENGTH_MERGE_TOL, and starts a new row
@@ -320,8 +342,7 @@ def _merge_rows(sorted_lengths: np.ndarray) -> List[Tuple[float, int]]:
         row = anchor[late]
         starts[late[np.r_[True, row[1:] != row[:-1]]]] = True
     firsts = np.flatnonzero(starts)
-    mults = 2 * np.diff(np.append(firsts, ell.size))
-    return list(zip(ell[firsts].tolist(), mults.tolist()))
+    return ell[firsts], 2 * np.diff(np.append(firsts, ell.size))
 
 
 def enumerate_spectrum(letters: np.ndarray,
@@ -353,10 +374,10 @@ def enumerate_spectrum(letters: np.ndarray,
                      for frontier in _frontiers(letters, max_word_len)]
 
     horizon = float(np.min(lengths_per_n[-1])) if lengths_per_n[-1].size else 0.0
-    entries = _merge_rows(np.sort(np.concatenate(lengths_per_n)))
+    lengths, mults = _merge_rows(np.sort(np.concatenate(lengths_per_n)))
     source = (f"bolza-octagon word-enumeration L={max_word_len}; "
               "conjugacy=cyclic-words+trace-clustering (word-level)")
-    return LengthSpectrum(entries=entries, genus=2, source=source,
+    return LengthSpectrum(lengths, mults, genus=2, source=source,
                           horizon=horizon)
 
 
@@ -369,21 +390,27 @@ class SpectrumFormatError(ValueError):
 
 
 def save_spectrum(sp: LengthSpectrum, path: str) -> None:
-    """Write the ASCII spectrum file atomically (temp file + rename)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spectrum-")
+    """Write the ASCII spectrum file atomically (temp file + rename).
+
+    An OSError names path, not the temp file beside it.
+    """
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".spectrum-")
         with os.fdopen(fd, "w") as fh:
             fh.write(f"# genus={sp.genus}\n")
             fh.write(f"# source={sp.source}\n")
             fh.write(f"# horizon={sp.horizon:.16e}\n")
             fh.write("# convention=gamma-and-inverse-distinct\n")
-            for ell, mult in sp.entries:
-                fh.write(f"{ell:.16e} {mult}\n")
+            fh.writelines(map("{:.16e} {}\n".format, sp.lengths.tolist(),
+                              sp.mults.astype(np.int64).tolist()))
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.strerror:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -408,10 +435,15 @@ def load_spectrum(path: str) -> LengthSpectrum:
 
     All rows are read by one bulk parse and checked by one vectorised
     comparison.  Only when either fails are the lines read one at a
-    time, to raise the SpectrumFormatError of the first bad line.
+    time, to raise the SpectrumFormatError of the first bad line.  Every
+    other refusal, an undecodable file or a spectrum that LengthSpectrum
+    refuses, is a SpectrumFormatError of line 0.
     """
     with open(path) as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpectrumFormatError(path, 0, str(exc)) from None
     pieces = _HEADER_LINE.split("\n" + text)
     headers: dict = {}
     try:
@@ -435,10 +467,12 @@ def load_spectrum(path: str) -> LengthSpectrum:
         raise SpectrumFormatError(path, 0, "missing '# genus=' header")
     if "horizon" not in headers:
         raise SpectrumFormatError(path, 0, "missing '# horizon=' header")
-    return LengthSpectrum(
-        entries=tuple(zip(lengths.tolist(), rows["mult"].tolist())),
-        genus=headers["genus"], source=headers.get("source", ""),
-        horizon=headers["horizon"])
+    try:
+        return LengthSpectrum(lengths, rows["mult"], genus=headers["genus"],
+                              source=headers.get("source", ""),
+                              horizon=headers["horizon"])
+    except ValueError as exc:
+        raise SpectrumFormatError(path, 0, str(exc)) from None
 
 
 def _read_header(body: str, headers: dict) -> None:
@@ -632,7 +666,7 @@ def _log_euler_zeta(s: float, sp: LengthSpectrum) -> Tuple[float, float]:
     # the lengths increase, so the first q is the largest
     if q.size and q[0] == 1.0:
         raise DomainError(
-            f"exp(-{sp.entries[0][0]!r} s) rounds to 1 at s = {s}: the "
+            f"exp(-{float(sp.lengths[0])!r} s) rounds to 1 at s = {s}: the "
             "Euler factor of that length cannot be evaluated as a float")
     return _log_factors(sp.lengths, s, q, sp.mults)
 

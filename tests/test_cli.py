@@ -462,3 +462,47 @@ def test_spectrum_bolza_status_to_top_level_out(capsys, tmp_path):
     assert lines[0].startswith("wrote ") and lines[0].endswith(f" to {spath}")
     assert lines[1].startswith("systole = ")
     assert lines[2].startswith("horizon = ")
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"# genus=2\n# source=caf\xe9\n# horizon=0\n3.0 2\n",
+     "codec can't decode byte 0xe9"),
+    (b"# genus=1\n# horizon=0\n3.0 2\n", "genus must be >= 2, got 1"),
+    (b"# genus=2\n# horizon=0\n3.0 0\n",
+     "multiplicity must be >= 1 at length 3.0"),
+    (b"# genus=2\n# horizon=9\n3.0 2\n",
+     "completeness horizon exceeds max recorded length"),
+    (b"# genus=2\n# horizon=0\n3.0 2\n3.0000000001 2\n",
+     "lengths must increase by more than 1e-09: 3.0 then 3.0000000001"),
+    (b"# genus=2\n# horizon=0\n3.0 99999999999999999\n",
+     "more than 2**53 classes"),
+], ids=["not-utf-8", "genus", "multiplicity", "horizon", "close-lengths",
+        "classes"])
+def test_spectrum_file_refusal_names_the_file(capsys, tmp_path, text,
+                                              message):
+    spath = tmp_path / "sp.txt"
+    spath.write_bytes(text)
+    code, out, err = run(capsys, "zeta", "eval", "--spectrum", str(spath),
+                         "--s", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {spath}:0: ")
+    assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_spectrum_bolza_write_error_names_the_out_path(capsys, tmp_path,
+                                                       where):
+    """The file is written to a temp file beside --out and renamed; an
+    error names --out, and no temp file is left behind."""
+    if where == "missing-dir":
+        spath = tmp_path / "no" / "such" / "x.txt"
+        reason, left = "[Errno 2] No such file or directory", []
+    else:
+        spath = tmp_path / "x.txt"
+        spath.mkdir()
+        reason, left = "[Errno 21] Is a directory", ["x.txt"]
+    code, out, err = run(capsys, "spectrum", "bolza", "--max-word-len", "3",
+                         "--out", str(spath))
+    assert (code, out) == (2, "")
+    assert err == f"error: {reason}: '{spath}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == left

@@ -26,6 +26,12 @@ from selbergfe.laurent import LaurentPoly
 from selbergfe.special import DomainError
 
 
+def _spectrum(rows, horizon=0.0):
+    """A genus-2 LengthSpectrum of (length, multiplicity) rows."""
+    return LengthSpectrum([ell for ell, _ in rows], [m for _, m in rows],
+                          genus=2, source="test", horizon=horizon)
+
+
 @pytest.fixture(scope="module")
 def bolza():
     return bolza_group()
@@ -157,8 +163,10 @@ def test_classify_frontier_aborts_on_elliptic_word(bolza, monkeypatch):
 def test_merge_rows_anchors_on_row_first():
     """A length joins a row by its distance from the row's first length,
     not from the previous length: chaining would give rows 6 and 2."""
-    rows = _merge_rows(np.array([1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9, 5.0]))
-    assert rows == [(1.0, 4), (1.0 + 1.2e-9, 2), (5.0, 2)]
+    lengths, mults = _merge_rows(
+        np.array([1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9, 5.0]))
+    assert lengths.tolist() == [1.0, 1.0 + 1.2e-9, 5.0]
+    assert mults.tolist() == [4, 2, 2]
 
 
 def test_spectrum_word_length_one(bolza):
@@ -265,11 +273,56 @@ def test_spectrum_is_frozen(spectrum5):
     ([(math.nan, 2)], "lengths must be positive, got nan"),
     ([(-1.0, 2), (3.0, 2)], "lengths must be positive, got -1.0"),
     ([(3.0, 10 ** 16)], "more than 2**53 classes"),
-    ([(3.0, 10 ** 400)], "a multiplicity exceeds the float range"),
+    ([(3.0, 10 ** 400)],
+     "multiplicity must be an integer (not a bool) within int64 at length 3.0"),
 ])
 def test_spectrum_validation_names_the_row(entries, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        LengthSpectrum(entries=entries, genus=2, source="test", horizon=0.0)
+        _spectrum(entries)
+
+
+@pytest.mark.parametrize("lengths, mults, length", [
+    ([3.0, 4.0], [2.5, True], 3.0),
+    ([3.0, 4.0], [2, True], 4.0),
+    ([3.0], [True], 3.0),
+    ([3.0, 4.0], np.array([2.0, 4.0]), 3.0),
+    ([3.0], np.array([True]), 3.0),
+], ids=["fraction", "bool-among-ints", "bool", "float-array", "bool-array"])
+def test_spectrum_refuses_non_integral_multiplicities(lengths, mults, length):
+    with pytest.raises(ValueError, match=re.escape(
+            "multiplicity must be an integer (not a bool) within int64 at "
+            f"length {length}")):
+        LengthSpectrum(lengths, mults, genus=2, source="test", horizon=0.0)
+
+
+def test_spectrum_refuses_rows_of_two_sizes():
+    with pytest.raises(ValueError, match="must be 1-D and of one size"):
+        LengthSpectrum([3.0, 4.0], [2], genus=2, source="test", horizon=0.0)
+
+
+def test_spectrum_stores_owned_read_only_copies():
+    """Strided views in, as a structured array's fields are: the stored
+    rows are contiguous float64 copies that the caller cannot change."""
+    rows = np.array([(3.0, 2), (4.0, 4)],
+                    dtype=[("length", np.float64), ("mult", np.int64)])
+    sp = LengthSpectrum(rows["length"], rows["mult"], genus=2,
+                        source="test", horizon=3.0)
+    rows[0] = (3.5, 8)
+    assert (sp.lengths.tolist(), sp.mults.tolist()) == ([3.0, 4.0], [2.0, 4.0])
+    assert sp.cum_mults.tolist() == [0.0, 2.0, 6.0]
+    for arr in (sp.lengths, sp.mults, sp.cum_mults):
+        assert arr.dtype == np.float64
+        assert arr.flags.c_contiguous and arr.flags.owndata
+        assert not arr.flags.writeable
+
+
+def test_entries_built_only_when_read(bolza, tmp_path):
+    sp = enumerate_spectrum(bolza, 3)
+    path = str(tmp_path / "sp.txt")
+    save_spectrum(sp, path)
+    loaded = load_spectrum(path)
+    assert "entries" not in vars(sp) and "entries" not in vars(loaded)
+    assert loaded.entries is loaded.entries == sp.entries
 
 
 @pytest.mark.parametrize("entries", [[], [(3.0, 2)]])
@@ -277,8 +330,7 @@ def test_spectrum_validation_names_the_row(entries, message):
 def test_spectrum_horizon_must_be_finite_and_nonnegative(entries, horizon):
     with pytest.raises(ValueError, match=re.escape(
             f"horizon must be finite and >= 0, got {horizon}")):
-        LengthSpectrum(entries=entries, genus=2, source="test",
-                       horizon=horizon)
+        _spectrum(entries, horizon)
 
 
 # -- persistence ---------------------------------------------------------
@@ -469,12 +521,11 @@ def test_load_accepts_only_what_float_and_int_read(tmp_path_factory, length,
 # -- Euler products ------------------------------------------------------
 
 def _tiny_spectrum():
-    return LengthSpectrum(entries=[(3.0571, 1)], genus=2,
-                          source="test", horizon=3.0571)
+    return _spectrum([(3.0571, 1)], horizon=3.0571)
 
 
 def test_selberg_Z_empty_spectrum():
-    sp = LengthSpectrum(entries=[], genus=2, source="test", horizon=0.0)
+    sp = _spectrum([])
     assert selberg_Z(2.0, sp).value == 1.0
     assert euler_zeta(2.0, sp).value == 1.0
 
@@ -490,8 +541,7 @@ def test_selberg_Z_single_entry():
 def test_selberg_Z_factor_below_cutoff():
     """A length whose n = 0 factor is already below the cutoff drops
     out of the product, and its truncation stays in the estimate."""
-    sp = LengthSpectrum(entries=[(200.0, 2)], genus=2, source="test",
-                        horizon=200.0)
+    sp = _spectrum([(200.0, 2)], horizon=200.0)
     sv = selberg_Z(2.0, sp)
     assert sv.value == 1.0
     assert sv.abs_err_estimate > 0
@@ -560,8 +610,7 @@ def test_selberg_Z_truncation_bound(ell, s):
     """A row keeps its k-th series term while (k-1)(s+1)l <= 60 ln 2; the
     truncation part of the estimate bounds the exact tail beyond those
     K terms, and by no more than 2x."""
-    sp = LengthSpectrum(entries=[(ell, 2)], genus=2, source="test",
-                        horizon=ell)
+    sp = _spectrum([(ell, 2)], horizon=ell)
     _, trunc, _ = geodesics._log_Z_series(s, sp)
     K = math.floor(60 * math.log(2) / ((s + 1) * ell)) + 1
     with mpmath.workdps(30):
@@ -621,8 +670,7 @@ def test_selberg_Z_underflow_raises_at_first_pass(ell):
     """A very short length makes Z underflow; the first series pass
     shows it, so the error comes without running the ~1/length passes
     the series would otherwise take."""
-    sp = LengthSpectrum(entries=[(ell, 2), (3.0, 2)], genus=2,
-                        source="test", horizon=0.0)
+    sp = _spectrum([(ell, 2), (3.0, 2)])
     with pytest.raises(DomainError, match=re.escape(
             "selberg_Z(2.0) lies below 2.2250738585072014e-308 (seen at "
             "series pass 1), outside the normal float range")):
@@ -675,7 +723,7 @@ def test_count_at_each_length(spectrum5):
 
 
 def test_count_empty_spectrum():
-    sp = LengthSpectrum(entries=[], genus=2, source="test", horizon=0.0)
+    sp = _spectrum([])
     assert geodesic_count(1.0, sp) == 0
     assert geodesic_count(1e30, sp) == 0
     assert sp.total_classes() == 0
