@@ -389,11 +389,21 @@ class SpectrumFormatError(ValueError):
         self.lineno = lineno
 
 
+# C0 and C1 control characters: a line break in the source header would
+# end it early, and the rest would read back as rows or headers
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+
+
 def save_spectrum(sp: LengthSpectrum, path: str) -> None:
     """Write the ASCII spectrum file atomically (temp file + rename).
 
-    An OSError names path, not the temp file beside it.
+    A source with a control character is refused with ValueError before
+    anything is written.  An OSError names path, not the temp file
+    beside it.
     """
+    if _CONTROL.search(sp.source):
+        raise ValueError(f"spectrum source {sp.source!r} has a control "
+                         "character; it is written as one header line")
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),

@@ -2,10 +2,13 @@
 
 Everything is built on one kernel, _zeta_r: the order-r Hurwitz zeta
 sum_n binom(n+r-1, r-1) (n+s)^-w or its analytic w-derivative, by
-Euler-Maclaurin summation in one pass.  The partial sum carries the
-exact integer simplex-counting weights; the tail expands the binomial
-in powers of (n + s), with coefficients c_j(s) from an exact table
-built once per r, and sums the order-1 tails of zeta_H(w - j, s).
+Euler-Maclaurin summation.  The partial sum carries the exact integer
+simplex-counting weights; the tail expands the binomial in powers of
+(n + s), with coefficients c_j(s) from an exact table built once per r,
+and sums the order-1 tails of zeta_H(w - j, s).  Each call takes N
+summed terms and B Bernoulli terms from a ladder of rungs, (10, 6) then
+(24, 12): the first whose truncation bound lies below the rounding part
+of its estimate.  The domain, Re w > r - 26, is that of B = 12.
 Arithmetic is float for real w and complex for complex w.  At a
 nonpositive integer w the value is the exact Bernoulli polynomial one.
 hurwitz_zeta and hurwitz_zeta_dw are the kernel at r = 1, and the log of
@@ -57,10 +60,10 @@ class SurfaceParams:
 
 
 _EPS = sys.float_info.epsilon
-# the kernel's directly summed terms and Bernoulli correction terms: with
-# these it is valid for Re(w) > r - 2B - 2 = r - 26
-_EM_CUTOFF = 24
-_EM_BERNOULLI = 12
+# the kernel's rungs (N directly summed terms, B Bernoulli correction
+# terms), cheapest first; the last sets the domain, Re(w) > r - 2B - 2 =
+# r - 26
+_RUNGS = ((10, 6), (24, 12))
 # zeta_r(-n, s) is summed exactly for n up to this; at the cap the
 # Bernoulli numbers and the sum take about 0.1 s, the numbers once
 _EXACT_MAX_N = 400
@@ -91,9 +94,10 @@ def _em_weights(B: int) -> Tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _em_float_weights(B: int) -> Tuple[float, ...]:
-    """_em_weights(B) rounded to floats."""
-    return tuple(float(b) for b in _em_weights(B))
+def _em_float_weights(B: int) -> Tuple[Tuple[float, ...], float]:
+    """_em_weights(B) rounded to floats: the B summed, and the omitted one."""
+    *head, last = map(float, _em_weights(B))
+    return tuple(head), last
 
 
 @lru_cache(maxsize=None)
@@ -145,31 +149,20 @@ def _simplex_weights(r: int, N: int) -> Tuple[float, ...]:
     return tuple(float(math.comb(n + r - 1, r - 1)) for n in range(N))
 
 
-def _tail_coeffs(u, weights, d: int) -> Tuple[list, list]:
-    """b_k P_k(u) and, for d = 1, b_k P_k'(u) for the weights b_k, where
-    P_k(u) = u (u+1) ... (u+2k-2) has 2k-1 factors and P_k' is its
-    u-derivative, kept by the product rule."""
-    p, dp, o = u, 1, 1
-    P, D = [], []
-    for b in weights:
-        P.append(b * p)
-        f = u + o
-        if d:
-            D.append(b * dp)
-            dp = (dp * f + p) * (f + 1) + p * f
-        p = p * f * (f + 1)
-        o += 2
-    return P, D
-
-
 @lru_cache(maxsize=64)
 def _tail_table(n: int, r: int, B: int) -> tuple:
-    """_tail_coeffs at the integers u = n - j, j < r, in exact arithmetic,
-    rounded to floats once."""
+    """b_k P_k(u) and b_k P_k'(u), k = 1..B+1, at the integers u = n - j,
+    j < r, in exact arithmetic, rounded to floats once: P_k(u) = u (u+1)
+    ... (u+2k-2) has 2k-1 factors, and P_k' is kept by the product rule."""
     out = []
-    for j in range(r):
-        P, D = _tail_coeffs(n - j, _em_weights(B), 1)
-        out.append(([float(c) for c in P], [float(c) for c in D]))
+    for u in range(n, n - r, -1):
+        p, dp, f, P, D = u, 1, u + 1, [], []
+        for b in _em_weights(B):
+            P.append(float(b * p))
+            D.append(float(b * dp))
+            p, dp = p * f * (f + 1), (dp * f + p) * (f + 1) + p * f
+            f += 2
+        out.append((P, D))
     return tuple(out)
 
 
@@ -193,30 +186,88 @@ def _zeta_r_exact(r: int, n: int, s: float) -> Tuple[float, float]:
     return v, 0.5 * math.ulp(v)
 
 
-def _zeta_r(r: int, w: Number, s: float, d: int, *, N: int = _EM_CUTOFF,
-            B: int = _EM_BERNOULLI) -> SpecialValue:
+def _tail(r: int, w: Number, d: int, table, x: float, logx: float, B: int,
+          cs: List[float], cabs: List[float]) -> Tuple[Number, float, float, float]:
+    """One rung's tail sum_j c_j(s) T_j (see _zeta_r) at x = N+s with B
+    Bernoulli terms: its value, its Backlund truncation bound, its running
+    sums, and the scale of its rounding.  Coefficients come from table at
+    an integer w, else from the pass that sums them against x^-2k."""
+    y = 1.0 / (x * x)
+    half = 0.5 / x
+    scale = x ** -w * x                 # x^(1-w+j), advanced by x
+    total = trunc = running = scale_tail = 0.0
+    if table:
+        ypows = list(accumulate(repeat(y, B + 1), mul))   # x^-2k
+        y_omit = ypows.pop()
+    else:
+        weights, b_omit = _em_float_weights(B)
+    for j, cabs_j in enumerate(cabs):
+        u = w - j
+        if table:
+            P, D = table[j]
+            s0, s1 = sum(map(mul, P, ypows)), sum(map(mul, D, ypows))
+            p_omit, d_omit = P[B] * y_omit, D[B] * y_omit
+        else:
+            # b_k P_k(u) x^-2k and its u-derivative, as in _tail_table
+            p, dp, f, s0, s1 = u * y, y, u + 1, 0.0, 0.0
+            for b in weights:
+                s0 += b * p
+                if d:
+                    s1 += b * dp
+                    dp = ((dp * f + p) * (f + 1) + p * f) * y
+                p = p * f * (f + 1) * y
+                f += 2
+            p_omit, d_omit = b_omit * p, b_omit * dp
+        q = 1 / (u - 1)
+        a = q + half + s0
+        if d:
+            bracket = logx * a + q * q - s1          # negated
+            omitted = d_omit - logx * p_omit
+            pieces = (logx + 1) * abs(a) + abs(q * q) + abs(s1)
+        else:
+            bracket = a
+            omitted = p_omit
+            pieces = abs(q) + half + abs(s0)
+        c_scale = cs[j] * scale
+        total += c_scale * bracket
+        running += abs(total)
+        # Backlund: the remainder is at most |u+2B+1| / (Re u + 2B+1)
+        # times the first omitted term
+        trunc += (abs(c_scale * omitted) * abs(u + 2 * B + 1)
+                  / (u.real + 2 * B + 1))
+        scale_tail += cabs_j * abs(scale) * pieces
+        scale *= x
+    return total, trunc, running, scale_tail
+
+
+def _zeta_r(r: int, w: Number, s: float, d: int, *, N: int = 0,
+            B: int = 0) -> SpecialValue:
     """The order-r Hurwitz zeta sum_n binom(n+r-1, r-1) (n+s)^-w (d = 0)
     or its w-derivative (d = 1): the one Euler-Maclaurin kernel.
 
-    N directly summed terms and B Bernoulli terms; callers take the
-    module's defaults, and only a test of the truncation bound passes
-    others.  Partial sum over n < N with the exact integer weights, times
-    -log(n+s) for the derivative; then the tail sum_j c_j(s) T_j, where
-    T_j is the Euler-Maclaurin tail of zeta_H^(d)(w-j, s) at x = N+s:
+    N summed terms and B Bernoulli terms are the first rung of _RUNGS
+    whose truncation bound lies below the rounding part of its estimate,
+    else the last; a rung is passed over untried outside its domain, or
+    where its omitted term exceeds eps of the tail even at its least.
+    Only a test of the truncation bound passes N and B.  Partial sum over
+    n < N with the exact integer weights, times -log(n+s) for the
+    derivative; then the tail sum_j c_j(s) T_j, where T_j is the
+    Euler-Maclaurin tail of zeta_H^(d)(w-j, s) at x = N+s:
 
         T_j = x^(1-w+j) [A_j]                 (d = 0)
         T_j = x^(1-w+j) [A'_j - log x A_j]    (d = 1)
         A_j = 1/(u-1) + 1/(2x) + sum_k b_k P_k(u) x^-2k,    u = w - j,
 
     with A'_j its u-derivative and P_k the rising products of
-    _tail_coeffs.  Arithmetic is float for real w and complex for complex
+    _tail_table.  Arithmetic is float for real w and complex for complex
     w.  At a nonpositive integer w the value is the exact Bernoulli one.
-    The estimate is the first omitted correction plus the rounding:
-    eps times the running partial sums, and a few ulps per term, where
-    rounding n+s or x moves x^-w by |w| log x ulps.  Raises DomainError
-    where the value or the estimate is not a finite float, and where
-    Re(w - j) + 2B + 1 <= 0 for some j: there the remainder of B
-    Bernoulli terms diverges.
+    The estimate is the first omitted correction plus the rounding: eps
+    times the running sums (N times the sum of |terms| for the partial
+    sum), and a few ulps per term, where rounding n+s or x moves x^-w by
+    |w| log x ulps.  Raises DomainError where the value or the estimate
+    is not a finite float, and where Re(w - j) + 2B + 1 <= 0 for some j
+    at the last rung's B: there its remainder diverges, so the domain is
+    that of B = 12 alone.
     """
     wc = complex(w)
     integral = wc.imag == 0 and wc.real.is_integer()
@@ -224,64 +275,46 @@ def _zeta_r(r: int, w: Number, s: float, d: int, *, N: int = _EM_CUTOFF,
         if d == 0 and integral and wc.real <= 0:
             v, err = _zeta_r_exact(r, -int(wc.real), s)
             return SpecialValue(complex(v) if isinstance(w, complex) else v, err)
-        if wc.real <= r - 2 * B - 2:
-            raise DomainError(f"Euler-Maclaurin with {B} Bernoulli terms needs "
-                              f"Re(w) > {r - 2 * B - 2} at order {r}, got w={w}")
+        rungs = ((N, B),) if N else _RUNGS
+        top = rungs[-1][1]
+        if wc.real <= r - 2 * top - 2:
+            raise DomainError(f"Euler-Maclaurin with {top} Bernoulli terms needs "
+                              f"Re(w) > {r - 2 * top - 2} at order {r}, got w={w}")
         mw = -w
-        weights = _simplex_weights(r, N)
-        points = list(map(add, range(N), repeat(s, N)))
-        powers = (weights if w == 0
-                  else list(map(mul, weights, map(pow, points, repeat(mw, N)))))
-        if d:
-            # log(n+s) (n+s)^-w: the derivative is minus their sum, and the
-            # tail brackets below are negated too; |t_n| + |p_n| bounds
-            # the rounding scale of such a term
-            terms = list(map(mul, map(math.log, points), powers))
-            scale_terms = sum(map(abs, terms)) + sum(map(abs, powers))
-        else:
-            terms = powers
-            scale_terms = sum(map(abs, terms))
-        sums = list(accumulate(terms))
-        total = sums[-1]
-        running = sum(map(abs, sums))
-        x = N + s
-        logx = math.log(x)
-        ypows = list(accumulate(repeat(1.0 / (x * x), B + 1), mul))   # x^-2k
-        y_omit = ypows.pop()
-        half = 0.5 / x
-        scale = x ** mw * x                 # x^(1-w+j), advanced by x
-        trunc = scale_tail = 0.0
-        table = (_tail_table(int(wc.real), r, B) if integral
-                 else [_tail_coeffs(w - j, _em_float_weights(B), d)
-                       for j in range(r)])
-        cs = _simplex_coeffs(r, s)
-        for j, cabs in enumerate(_simplex_coeffs(r, -s)):
-            P, D = table[j]
-            q = 1 / (w - j - 1)
-            s0 = sum(map(mul, P, ypows))
-            a = q + half + s0
+        cs, cabs = _simplex_coeffs(r, s), _simplex_coeffs(r, -s)
+        sum_p = 0.0
+        for N, B in rungs:
+            x = N + s
+            # untried outside its domain, or where its omitted term exceeds
+            # eps of the tail at its least, |b_{B+1}| (|Im w| / x)^(2B+2):
+            # each factor of P_{B+1}(u) (u-1) is at least |Im w|
+            if B < top and (wc.real <= r - 2 * B - 2 or wc.imag and (
+                    abs(wc.imag) / x > (_EPS / abs(_em_float_weights(B)[1]))
+                    ** (1 / (2 * B + 2)))):
+                continue
+            points = list(map(add, range(N), repeat(s)))
+            terms = _simplex_weights(r, N)
+            if w != 0:
+                terms = list(map(mul, terms, map(pow, points, repeat(mw))))
             if d:
-                s1 = sum(map(mul, D, ypows))
-                bracket = logx * a + q * q - s1          # negated
-                omitted = (D[B] - logx * P[B]) * y_omit
-                pieces = (logx + 1) * abs(a) + abs(q * q) + abs(s1)
-            else:
-                bracket = a
-                omitted = P[B] * y_omit
-                pieces = abs(q) + half + abs(s0)
-            c_scale = cs[j] * scale
-            total += c_scale * bracket
-            running += abs(total)
-            # Backlund: the remainder is at most |u+2B+1| / (Re u + 2B+1)
-            # times the first omitted term
-            trunc += (abs(c_scale * omitted) * abs(w - j + 2 * B + 1)
-                      / (wc.real - j + 2 * B + 1))
-            scale_tail += cabs * abs(scale) * pieces
-            scale *= x
+                # log(n+s) (n+s)^-w: the derivative is minus their sum, and
+                # T_j is negated too; |t_n| + |p_n| is its rounding scale
+                sum_p = sum(map(abs, terms))
+                terms = list(map(mul, map(math.log, points), terms))
+            sum_t = sum(map(abs, terms))
+            logx = math.log(x)
+            tail, trunc, running, scale_tail = _tail(
+                r, w, d, integral and _tail_table(int(wc.real), r, B),
+                x, logx, B, cs, cabs)
+            total = sum(terms) + tail
+            per_term = 4 + r + abs(w) * (1 + max(logx, -math.log(s)))
+            rounding = _EPS * (N * sum_t + running + abs(total)
+                               + per_term * (sum_t + sum_p + scale_tail))
+            if trunc <= rounding:
+                break
         if d:
             total = -total
-        per_term = 4 + r + abs(w) * (1 + max(logx, -math.log(s)))
-        err = trunc + _EPS * (running + per_term * (scale_terms + scale_tail))
+        err = trunc + rounding
         finite = math.isfinite(abs(total)) and math.isfinite(err)
     except OverflowError:
         finite = False

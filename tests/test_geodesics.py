@@ -348,6 +348,16 @@ def test_save_load_roundtrip(request, tmp_path, max_word_len):
     assert loaded.horizon == sp.horizon
 
 
+@pytest.mark.parametrize("source", ["x\n3.5 2", "x\n# genus=5"])
+def test_save_refuses_control_characters_in_source(tmp_path, source):
+    """Written verbatim, the first would not load and the second would
+    load with genus 5; neither leaves a file or a temp file behind."""
+    sp = LengthSpectrum([3.0, 4.0], [2, 2], genus=2, source=source, horizon=3.0)
+    with pytest.raises(ValueError, match="control character"):
+        save_spectrum(sp, str(tmp_path / "sp.txt"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_rejects_decreasing(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# genus=2\n# horizon=2.0\n3.0 2\n2.0 2\n")

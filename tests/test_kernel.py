@@ -95,6 +95,57 @@ def test_estimate_bounds_actual_error():
     assert under == []
 
 
+def test_default_rung_agrees_with_the_last():
+    """Each seeded call, at the rung it takes, agrees with the same call at
+    N = 24 and B = 12 to within the sum of the two estimates.  (That it
+    lies within its own estimate of mpmath is the test above.)"""
+    off = []
+    for label, fn, args, ref_args in _seeded_cases():
+        v = fn(*args)
+        last = special._zeta_r(*ref_args, N=24, B=12)
+        if abs(v.value - last.value) > v.abs_err_estimate + last.abs_err_estimate:
+            off.append((label, args, v, last))
+    assert off == []
+
+
+def test_s2_base_window_takes_a_lower_rung(monkeypatch):
+    """log Gamma_2 on S_2's base window (1/2, 3/2] stops at the first
+    rung, below N = 24 and B = 12: one tail, with fewer Bernoulli terms."""
+    seen = []
+    tail = special._tail
+
+    def spy(r, w, d, table, x, logx, B, cs, cabs):
+        seen.append(B)
+        return tail(r, w, d, table, x, logx, B, cs, cabs)
+
+    monkeypatch.setattr(special, "_tail", spy)
+    first = special._RUNGS[0][1]
+    assert first < 12
+    for i in range(1, 41):
+        seen.clear()
+        log_gamma_r(2, 0.5 + i / 40)
+        assert seen == [first]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_domain_is_that_of_twelve_bernoulli_terms(r):
+    """Re w > r - 26, as with N = 24 and B = 12 alone: w = r - 25.5 is
+    evaluated within its estimate, w = r - 26.5 is refused."""
+    w = r - 25.5
+    for s in (0.5, 1.0, 3.7):
+        for d in (0, 1):
+            v = special._zeta_r(r, w, s, d)
+            assert _error(v.value, mp_zeta_r(r, w, s, d)) <= v.abs_err_estimate
+        with pytest.raises(DomainError):
+            multiple_hurwitz_zeta(r, w - 1, s)
+        with pytest.raises(DomainError):
+            special._zeta_r(r, w - 1, s, 1)
+    if r == 1:
+        hurwitz_zeta_dw(-24.5, 1.0)
+        with pytest.raises(DomainError):
+            hurwitz_zeta_dw(-25.5, 1.0)
+
+
 def test_estimate_includes_rounding():
     """Rounding, not truncation, limits these: their first omitted
     Bernoulli terms are about 1e-31, their actual errors near 1e-10."""
