@@ -200,11 +200,12 @@ def _cmd_spectrum_bolza(args, out: _Output) -> int:
 
 
 def _cmd_zeta_eval(args, out: _Output) -> int:
+    # the arguments are checked before the spectrum file is read
+    if args.motive is not None and args.fn == "Z":
+        raise ValueError("--motive is only supported with --fn zeta")
+    f = None if args.motive is None else laurent.parse_poly(args.motive)
     sp = geodesics.load_spectrum(args.spectrum)
-    if args.motive is not None:
-        if args.fn == "Z":
-            raise ValueError("--motive is only supported with --fn zeta")
-        f = laurent.parse_poly(args.motive)
+    if f is not None:
         sv = geodesics.zeta_motive_numeric(f, args.s, sp)
     elif args.fn == "Z":
         sv = geodesics.selberg_Z(args.s, sp)
@@ -225,11 +226,11 @@ def _cmd_pgt(args, out: _Output) -> int:
     if not 1 <= args.points <= _PGT_MAX_POINTS:
         raise ValueError(f"--points must be in 1..{_PGT_MAX_POINTS}, "
                          f"got {args.points}")
-    sp = geodesics.load_spectrum(args.spectrum)
     lo = 1.1
     if not 0.0 < args.xmax < math.inf or math.log(args.xmax) <= lo:
         raise ValueError(f"--xmax must be finite and exceed e^{lo:.2f}, "
                          f"got {args.xmax}")
+    sp = geodesics.load_spectrum(args.spectrum)
     hi = math.log(args.xmax)
     if args.points == 1:
         xs = [args.xmax]

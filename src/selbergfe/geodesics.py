@@ -31,11 +31,16 @@ degree 4-4g.
 A LengthSpectrum is frozen, and its rows are read-only arrays: lengths,
 multiplicities and cumulative multiplicities.  The Euler products and
 the counts are array arithmetic over them.  Z is summed as log Z(s) =
--log zeta(s) minus a power series in y = exp(-length (s+1)), one short
-pass per power over a shrinking prefix of the rows.  Each Euler
-product's error estimate bounds the floating-point rounding of its
-terms, sums and final exp, plus, for Z, the truncation of that series;
-the spectrum itself is finite, which its completeness horizon discloses.
+-log zeta(s) minus a power series in y = q r, q = exp(-length s) and
+r = exp(-length), with one exp pass per s: log zeta's q is reused, and
+r and the first power's weights m r / (1 - r), which do not depend on
+s, are derived once per spectrum, on the first Euler product.  Each
+later power is one short pass over a shrinking prefix of the rows, and
+the rows it drops have their tails bounded by one dot product.  Each
+Euler product's error estimate bounds the floating-point rounding of
+its terms, sums and final exp, plus, for Z, the truncation of that
+series; the spectrum itself is finite, which its completeness horizon
+discloses.
 
 A spectrum file is text: '# key=value' header lines (genus and horizon
 required, source optional), anywhere in the file, and one '<length>
@@ -55,7 +60,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, List, NoReturn, Sequence, Tuple
+from typing import Iterator, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,7 +94,8 @@ class LengthSpectrum:
     caller's arrays: `lengths` and `mults` (given as integers), one
     element per row, and `cum_mults`, one element more: cum_mults[i] is
     the number of classes in the first i rows, exact below 2**53.
-    `entries`, the rows as (float, int) pairs, is built on first read.
+    `entries`, the rows as (float, int) pairs, and `euler_weights`, two
+    more read-only arrays for selberg_Z, are built on first read.
     """
     lengths: np.ndarray
     mults: np.ndarray
@@ -136,6 +142,17 @@ class LengthSpectrum:
     @functools.cached_property
     def entries(self) -> Tuple[Tuple[float, int], ...]:
         return tuple(zip(self.lengths.tolist(), map(int, self.mults.tolist())))
+
+    @functools.cached_property
+    def euler_weights(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(r, w), read-only, one element per row: r = exp(-length) and
+        w = mult r / (1 - r) = mult / (exp(length) - 1), the parts of
+        selberg_Z's series that do not depend on s.  Built on first use."""
+        r = np.exp(-self.lengths)
+        w = self.mults * r
+        w /= -np.expm1(-self.lengths)
+        r.flags.writeable = w.flags.writeable = False
+        return r, w
 
     def total_classes(self) -> int:
         return int(self.cum_mults[-1])
@@ -584,40 +601,56 @@ def _sum_roundings(n: int) -> float:
     return 0.5 * (19 + (n // 128).bit_length())
 
 
-def _log_Z_series(s: float, sp: LengthSpectrum, limit: float = math.inf
+def _log_Z_series(s: float, sp: LengthSpectrum, limit: float = math.inf,
+                  q: Optional[np.ndarray] = None
                   ) -> Tuple[float, float, float]:
     """sum_i m_i sum_{k>=1} y_i^k / (k (1 - r_i^k)), with two error bounds.
 
-    y = exp(-length (s + 1)) and r = exp(-length).  Returns the series,
-    a bound on its truncation and a bound on its rounding.  Pass k sums
-    the k-th terms of the rows with (k - 1)(s + 1) length <= _SERIES_DEPTH,
-    a prefix of the sorted lengths found by one searchsorted.  A row
-    dropped after K terms leaves at most m y^(K+1) / ((K+1)(1 - r)(1 - y)),
-    since 1 - r^k >= 1 - r and 1/k <= 1/(K+1).
+    y = q r, q = exp(-length s) and r = exp(-length).  selberg_Z passes
+    the q that log zeta was summed from; without one, it is formed here.
+    Returns the series, a bound on its truncation and a bound on its
+    rounding.  Pass 1 is one product w q, w = m r / (1 - r) of
+    sp.euler_weights.  Pass k >= 2 sums m y^k / expm1(-k length), with
+    -1/k applied to the sum, over the rows with (k - 1)(s + 1) length <=
+    _SERIES_DEPTH, a prefix of the sorted lengths found by one
+    searchsorted.  A row dropped after K terms leaves at most
+    m y^(K+1) / ((K+1)(1 - r)(1 - y)), since 1 - r^k >= 1 - r and
+    1/k <= 1/(K+1).  The rows dropped together are bounded by one dot,
+    sum m y^(K+1), over the r and y of the first of them: they are the
+    largest there, as the lengths increase.
 
-    Rounding, as in _log_factors: with x = length (s + 1), y is off by
-    eps x + eps/2 of itself and y^k, made by k - 1 products, by
-    eps k (x + 1); 1 - r^k = -expm1(-k length) is well conditioned
-    (its condition number is at most 1), so it and the divisions and
-    products add an ulp or so each.  A term is therefore off by at most
-    eps (k (x + 2) + 3) of itself.  Every term is positive, so each
-    pass's pairwise sum adds eps / 2 of the pass total per rounding,
-    counted as in _log_factors, and the fsum over passes eps / 2 of the
-    whole.
+    Rounding, as in _log_factors, with x = length (s + 1): q is off by
+    eps (length s + 1) of itself, r and 1 - r = -expm1(-length) by eps
+    each and w, after a product and a division, by 3 eps, so the pass 1
+    term w q is off by eps (x + 4.5).  y = q r is off by eps (x + 2.5),
+    and y^k, made by k - 1 more products, by eps k (x + 3); the product
+    by m, expm1(-k length), whose condition number is at most 1, and the
+    division add eps (1/2 + 3/2 + 1/2).  Every term is therefore off by
+    at most eps (k (x + 3) + 3) of itself.  Every term is positive, so
+    each pass's pairwise sum adds eps / 2 of the pass total per
+    rounding, counted as in _log_factors; -1/k and the product by it
+    add eps of it, and the fsum over passes eps / 2 of the whole.
 
     Raises DomainError once the passes so far sum to more than limit,
     which selberg_Z sets where Z would underflow: every term is
     positive, so the series only grows from there.
     """
     ell, mult = sp.lengths, sp.mults
-    y = _exp_neg(ell, s + 1.0)
-    one_minus_r = -np.expm1(-ell)
-    yk, n, k = y, ell.size, 1
+    r, w = sp.euler_weights
+    if q is None:
+        q = _exp_neg(ell, s)
+    x = s + 1.0
+    y = q * r
+    term, scale, yk, n, k = w * q, 1.0, y, ell.size, 1
     series, partial, trunc, round_k = [], 0.0, 0.0, 0.0
     while n:
-        gap = one_minus_r if k == 1 else -np.expm1(ell[:n] * -k)
-        term = mult[:n] * yk / (k * gap)
-        part = float(term.sum())
+        head = ell[:n]
+        if k > 1:
+            # m y^k / (r^k - 1): the k-th terms times -k
+            term = mult[:n] * yk
+            term /= np.expm1(head * -k)
+            scale = -1.0 / k
+        part = scale * float(term.sum())
         series.append(part)
         partial += part
         if partial > limit:
@@ -625,14 +658,14 @@ def _log_Z_series(s: float, sp: LengthSpectrum, limit: float = math.inf
                 f"selberg_Z({s}) lies below {_FLOAT_MIN!r} (seen at series "
                 f"pass {k}), outside the normal float range; it cannot be "
                 "evaluated as a float")
-        round_k += k * ((s + 1.0) * float(np.dot(term, ell[:n])) + 2.0 * part
-                        ) + (3.0 + _sum_roundings(n)) * part
-        keep = int(np.searchsorted(ell, _SERIES_DEPTH / (k * (s + 1.0)),
-                                   side="right"))
+        round_k += (k * scale * x * float(np.dot(term, head))
+                    + (3.0 * k + 4.0 + _sum_roundings(n)) * part)
+        keep = int(np.searchsorted(ell, _SERIES_DEPTH / (k * x), side="right"))
         yk = yk * y[:n]
         if keep < n:
-            tail = yk[keep:] / (one_minus_r[keep:n] * (1.0 - y[keep:n]))
-            trunc += float(np.dot(mult[keep:n], tail)) / (k + 1)
+            first = float(ell[keep])
+            trunc += float(np.dot(mult[keep:n], yk[keep:])) / (
+                (k + 1) * math.expm1(-first) * math.expm1(-first * x))
             yk = yk[:keep]
         n, k = keep, k + 1
     total = math.fsum(series)
@@ -643,31 +676,36 @@ def selberg_Z(s: float, sp: LengthSpectrum) -> SpecialValue:
     """Double Euler product prod_P prod_n (1 - N(P)^-(s+n)), in log space.
 
     Summed as log Z(s) = -log zeta(s) - sum_i m_i sum_{k>=1} y_i^k /
-    (k (1 - r_i^k)), y_i = exp(-l_i (s+1)), r_i = exp(-l_i): the n = 0
-    factors are euler_zeta's, and expanding log(1 - q) and summing
-    n >= 1 as a geometric series gives the rest.  Each row keeps its
-    terms while the next is above 2^-60 of its first (_log_Z_series).
-    The error estimate covers the rounding of log zeta, the truncation
-    of each row's series (a geometric tail) and its rounding, and the
-    rounding of the final exp.  The spectrum itself is finite, disclosed
-    via the completeness horizon.  Raises DomainError where Z is not a
-    normal float, as soon as the series shows it.
+    (k (1 - r_i^k)), y_i = q_i r_i, q_i = exp(-l_i s), r_i = exp(-l_i):
+    the n = 0 factors are euler_zeta's, and expanding log(1 - q) and
+    summing n >= 1 as a geometric series gives the rest.  q is formed
+    once, for both sums; r and the first pass's weights m r / (1 - r)
+    do not depend on s and are formed once per spectrum.  Each row keeps
+    its terms while the next is above 2^-60 of its first
+    (_log_Z_series).  The error estimate covers the rounding of log
+    zeta, the truncation of the rows' series (geometric tails, bounded
+    together for the rows dropped at one pass) and their rounding, and
+    the rounding of the final exp.  The spectrum itself is finite,
+    disclosed via the completeness horizon.  Raises DomainError where Z
+    is not a normal float, as soon as the series shows it.
     """
     # NaN and inf fail too: NaN would never end the series loop, and inf
     # makes the rounding bound inf * 0
     if not 1.0 + 1e-3 < s < math.inf:
         raise DomainError(f"selberg_Z requires 1 + 1e-3 < s < inf, got s={s}")
-    log_zeta, zeta_err = _log_euler_zeta(s, sp)
+    log_zeta, zeta_err, q = _log_euler_zeta(s, sp)
     series, trunc, round_err = _log_Z_series(
-        s, sp, -log_zeta - math.log(_FLOAT_MIN))
+        s, sp, -log_zeta - math.log(_FLOAT_MIN), q)
     log_v = -log_zeta - series
     v = _normal(math.exp(log_v), f"selberg_Z({s})")
     return SpecialValue(v, v * (zeta_err + trunc + round_err
                                 + _EPS * (abs(log_v) + 1.0)))
 
 
-def _log_euler_zeta(s: float, sp: LengthSpectrum) -> Tuple[float, float]:
-    """log prod_P (1 - N(P)^-s)^-1 and a bound on its rounding error.
+def _log_euler_zeta(s: float, sp: LengthSpectrum
+                    ) -> Tuple[float, float, np.ndarray]:
+    """log prod_P (1 - N(P)^-s)^-1, a bound on its rounding error, and
+    the q = N(P)^-s = exp(-length s) it was summed from.
 
     Raises DomainError where a length is so short that N(P)^-s rounds
     to 1, which would make its factor infinite.
@@ -678,7 +716,8 @@ def _log_euler_zeta(s: float, sp: LengthSpectrum) -> Tuple[float, float]:
         raise DomainError(
             f"exp(-{float(sp.lengths[0])!r} s) rounds to 1 at s = {s}: the "
             "Euler factor of that length cannot be evaluated as a float")
-    return _log_factors(sp.lengths, s, q, sp.mults)
+    log_inv, err = _log_factors(sp.lengths, s, q, sp.mults)
+    return log_inv, err, q
 
 
 def euler_zeta(s: float, sp: LengthSpectrum) -> SpecialValue:
@@ -689,7 +728,7 @@ def euler_zeta(s: float, sp: LengthSpectrum) -> SpecialValue:
     """
     if not 1.0 + 1e-3 < s < math.inf:
         raise DomainError(f"euler_zeta requires 1 + 1e-3 < s < inf, got s={s}")
-    log_v, err = _log_euler_zeta(s, sp)
+    log_v, err, _ = _log_euler_zeta(s, sp)
     v = _exp(log_v, f"euler_zeta({s})")
     return SpecialValue(v, v * (err + _EPS))
 
@@ -713,7 +752,7 @@ def zeta_motive_numeric(f: LaurentPoly, s: float,
     err = 0.0
     scale = 0.0
     for k, a in f.coeffs.items():
-        log_part, part_err = _log_euler_zeta(s - k, sp)
+        log_part, part_err, _ = _log_euler_zeta(s - k, sp)
         log_v += a * log_part
         err += abs(a) * part_err
         scale += abs(a * log_part)

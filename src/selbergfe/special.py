@@ -143,6 +143,21 @@ def _simplex_coeffs(r: int, s: float) -> List[float]:
     return out
 
 
+def _simplex_pair(r: int, s: float) -> Tuple[List[float], List[float]]:
+    """(_simplex_coeffs(r, s), _simplex_coeffs(r, -s)), bit for bit, from
+    one pass over the table: the coefficients and their rounding scale."""
+    ms = -s
+    out, scale = [], []
+    for row in _simplex_table(r):
+        acc = acc_m = 0.0
+        for a in row:
+            acc = acc * s + a
+            acc_m = acc_m * ms + a
+        out.append(acc)
+        scale.append(acc_m)
+    return out, scale
+
+
 @lru_cache(maxsize=None)
 def _simplex_weights(r: int, N: int) -> Tuple[float, ...]:
     """binom(n+r-1, r-1) for n < N: the partial-sum weights."""
@@ -281,7 +296,7 @@ def _zeta_r(r: int, w: Number, s: float, d: int, *, N: int = 0,
             raise DomainError(f"Euler-Maclaurin with {top} Bernoulli terms needs "
                               f"Re(w) > {r - 2 * top - 2} at order {r}, got w={w}")
         mw = -w
-        cs, cabs = _simplex_coeffs(r, s), _simplex_coeffs(r, -s)
+        cs, cabs = _simplex_pair(r, s)
         sum_p = 0.0
         for N, B in rungs:
             x = N + s

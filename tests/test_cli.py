@@ -315,6 +315,25 @@ def test_pgt_non_finite_xmax_exit_2(capsys, tmp_path, xmax, points):
                    f"{float(xmax)}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("zeta", "eval", "--fn", "Z", "--motive=0=1", "--s", "2"),
+     "--motive is only supported with --fn zeta"),
+    (("zeta", "eval", "--motive", "garbage", "--s", "2"),
+     "bad polynomial term 'garbage': expected k=a"),
+    (("pgt", "--xmax", "2", "--points", "3"),
+     "--xmax must be finite and exceed e^1.10, got 2.0"),
+    (("pgt", "--xmax", "nan", "--points", "3"),
+     "--xmax must be finite and exceed e^1.10, got nan"),
+])
+def test_arguments_checked_before_the_spectrum_is_read(capsys, tmp_path,
+                                                       argv, message):
+    """A usage error is reported as such, even where the spectrum path
+    does not exist: the file is read only once the arguments pass."""
+    code, out, err = run(capsys, *argv, "--spectrum",
+                         str(tmp_path / "no-such-file"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_spectrum_bolza_golden_output(capsys, tmp_path):
     spath = str(tmp_path / "sp.txt")
     code, out, err = run(capsys, "spectrum", "bolza",

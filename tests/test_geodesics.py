@@ -325,6 +325,24 @@ def test_entries_built_only_when_read(bolza, tmp_path):
     assert loaded.entries is loaded.entries == sp.entries
 
 
+def test_euler_weights_built_only_when_used(bolza, tmp_path):
+    """Loading and counting build no Euler weights; the first Euler
+    product does, once, as read-only arrays."""
+    path = str(tmp_path / "sp.txt")
+    save_spectrum(enumerate_spectrum(bolza, 3), path)
+    sp = load_spectrum(path)
+    geodesic_count(50.0, sp)
+    assert "euler_weights" not in vars(sp)
+    selberg_Z(2.0, sp)
+    r, w = sp.euler_weights
+    assert sp.euler_weights is vars(sp)["euler_weights"]
+    for arr in (r, w):
+        assert arr.shape == sp.lengths.shape and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    np.testing.assert_allclose(w, sp.mults / np.expm1(sp.lengths), rtol=1e-14)
+
+
 @pytest.mark.parametrize("entries", [[], [(3.0, 2)]])
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, -1.0])
 def test_spectrum_horizon_must_be_finite_and_nonnegative(entries, horizon):
@@ -583,6 +601,30 @@ def test_euler_products_vs_mpmath(spectrum5, s):
         assert sv.abs_err_estimate < 1e-13 * abs(sv.value)
 
 
+_ROW_LENGTHS = st.lists(st.floats(0.2, 25.0), max_size=5, unique=True).map(
+    sorted).filter(lambda ls: all(b - a > 1e-6 for a, b in zip(ls, ls[1:])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths=_ROW_LENGTHS, mults=st.lists(st.integers(1, 4), min_size=5,
+                                           max_size=5),
+       s=st.floats(1.01, 8.0, exclude_min=True, exclude_max=True))
+def test_euler_products_within_estimates(lengths, mults, s):
+    """On spectra of up to 5 rows, lengths 0.2 to 25, Z, zeta and a
+    motive zeta are each within their estimate of a 30-digit product."""
+    entries = list(zip(lengths, mults))
+    sp = _spectrum(entries)
+    with mpmath.workdps(30):
+        log_z = mpmath.fsum(_mp_log_Z_parts(s, entries))
+        log_zeta = {t: -_mp_log_euler(t, entries, 1) for t in (s, s + 1)}
+        refs = (mpmath.exp(log_z), mpmath.exp(log_zeta[s]),
+                mpmath.exp(log_zeta[s + 1] - log_zeta[s]))
+    values = (selberg_Z(s, sp), euler_zeta(s, sp),
+              zeta_motive_numeric(LaurentPoly({-1: 1, 0: -1}), s, sp))
+    for sv, ref in zip(values, refs):
+        assert float(abs(sv.value - ref)) <= sv.abs_err_estimate
+
+
 def _mp_log_Z_parts(s, entries):
     """The n = 0 and the n >= 1 parts of log prod over the entries of
     prod_n (1 - e^-l(s+n))^m.  Each row's n runs while l n < 80, which
@@ -628,6 +670,25 @@ def test_selberg_Z_truncation_bound(ell, s):
         tail = 2 * mpmath.nsum(lambda k: y ** k / (k * (1 - r ** k)),
                                [K + 1, mpmath.inf])
     assert tail <= trunc <= 2 * tail
+
+
+@pytest.mark.parametrize("s", [1.01, 2.0, 5.0])
+def test_selberg_Z_truncation_bound_several_rows(s):
+    """Rows as short as 0.3, where 1 - r and 1 - y are far from 1, and
+    rows dropped at one pass, whose tails share one bound: the exact
+    tails of all the rows lie within the truncation part, and it within
+    4x of them, the 1 / (1 - e^-0.3) that the bound of the shortest row
+    takes for each 1 / (1 - r^k)."""
+    rows = [(0.3, 2), (1.0, 4), (BOLZA_LENGTH, 6), (7.0, 2), (12.0, 8)]
+    _, trunc, _ = geodesics._log_Z_series(s, _spectrum(rows))
+    with mpmath.workdps(30):
+        tail = 0
+        for ell, m in rows:
+            K = math.floor(60 * math.log(2) / ((s + 1) * ell)) + 1
+            y, r = mpmath.exp(-ell * (s + 1)), mpmath.exp(-ell)
+            tail += m * mpmath.nsum(lambda k: y ** k / (k * (1 - r ** k)),
+                                    [K + 1, mpmath.inf])
+    assert tail <= trunc <= 4 * tail
 
 
 def test_telescoping_seeded_L7(spectrum7):

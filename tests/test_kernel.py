@@ -246,6 +246,16 @@ def test_simplex_table_is_the_exact_expansion(r, monkeypatch):
         log_gamma_r(r, s)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_simplex_pair_is_the_two_single_passes(r):
+    """The one pass that the kernel takes gives, bit for bit, the
+    coefficients at s and their rounding scale at -s."""
+    for s in (0.001, 0.5, 1.0, 1.3, 2.75, 6.0, 21.6, 1e8):
+        # repr tells -0.0 from 0.0, as == does not
+        assert repr(special._simplex_pair(r, s)) == repr(
+            (special._simplex_coeffs(r, s), special._simplex_coeffs(r, -s)))
+
+
 def test_caches_fill_lazily():
     code = ("import selbergfe.special as s; "
             "assert s._simplex_table.cache_info().currsize == 0; "
