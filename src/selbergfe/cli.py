@@ -203,14 +203,15 @@ def _cmd_zeta_eval(args, out: _Output) -> int:
     # the arguments are checked before the spectrum file is read
     if args.motive is not None and args.fn == "Z":
         raise ValueError("--motive is only supported with --fn zeta")
-    f = None if args.motive is None else laurent.parse_poly(args.motive)
-    sp = geodesics.load_spectrum(args.spectrum)
-    if f is not None:
-        sv = geodesics.zeta_motive_numeric(f, args.s, sp)
-    elif args.fn == "Z":
-        sv = geodesics.selberg_Z(args.s, sp)
+    if args.motive is not None:
+        f = laurent.parse_poly(args.motive)
+        geodesics.check_euler_s(args.s, "zeta_motive_numeric", f)
+        evaluate = functools.partial(geodesics.zeta_motive_numeric, f)
     else:
-        sv = geodesics.euler_zeta(args.s, sp)
+        evaluate = (geodesics.selberg_Z if args.fn == "Z"
+                    else geodesics.euler_zeta)
+        geodesics.check_euler_s(args.s, evaluate.__name__)
+    sv = evaluate(args.s, geodesics.load_spectrum(args.spectrum))
     out.write(f"value = {_fmt(sv.value)}")
     out.write(f"abs_err_estimate = {_fmt(sv.abs_err_estimate)}")
     return 0

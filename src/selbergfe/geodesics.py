@@ -111,6 +111,10 @@ class LengthSpectrum:
         if lengths.shape != (n,) or np.shape(self.mults) != (n,):
             raise ValueError("lengths and mults must be 1-D and of one size")
         mults = _integer_mults(self.mults, lengths)
+        bad = np.flatnonzero(~np.isfinite(lengths))
+        if bad.size:
+            raise ValueError(
+                f"lengths must be finite, got {float(lengths[bad[0]])}")
         # the first offending row names the error, its multiplicity first
         low = np.flatnonzero(mults < 1)
         close = np.flatnonzero(~(np.diff(lengths) > _LENGTH_MERGE_TOL)) + 1
@@ -457,8 +461,9 @@ def load_spectrum(path: str) -> LengthSpectrum:
     source=<text>' is optional, the last of each wins, and any other
     header is ignored.  Every other line is one row, '<length>
     <multiplicity>' separated by whitespace: an ASCII decimal float
-    (inf and nan spelled out) and an ASCII decimal integer within int64,
-    neither with underscores.  Lengths must strictly increase.
+    (inf and nan spelled out parse, and LengthSpectrum refuses them) and
+    an ASCII decimal integer within int64, neither with underscores.
+    Lengths must strictly increase.
 
     All rows are read by one bulk parse and checked by one vectorised
     comparison.  Only when either fails are the lines read one at a
@@ -672,6 +677,29 @@ def _log_Z_series(s: float, sp: LengthSpectrum, limit: float = math.inf,
     return total, trunc, _EPS * (round_k + 0.5 * total)
 
 
+def check_euler_s(s: float, name: str,
+                  f: Optional[LaurentPoly] = None) -> None:
+    """The domain of the Euler products, checked with no spectrum at hand:
+    DomainError unless 1 + 1e-3 < s < inf, or, for the motive f, unless
+    1 + 1e-3 < s - k < inf at every k of its support and s is finite.
+    name is the evaluator that the error names.
+    """
+    # NaN and inf fail too: NaN would never end selberg_Z's series loop,
+    # and inf makes the rounding bounds inf * 0
+    if f is None:
+        if not 1.0 + 1e-3 < s < math.inf:
+            raise DomainError(f"{name} requires 1 + 1e-3 < s < inf, got s={s}")
+        return
+    for k in f.support():
+        if not 1.0 + 1e-3 < s - k < math.inf:
+            raise DomainError(
+                f"motive factor k={k} needs 1 + 1e-3 < s - k < inf, "
+                f"got s - k = {s - k}")
+    # the zero motive has no factor to check s against
+    if not math.isfinite(s):
+        raise DomainError(f"{name} requires a finite s, got s={s}")
+
+
 def selberg_Z(s: float, sp: LengthSpectrum) -> SpecialValue:
     """Double Euler product prod_P prod_n (1 - N(P)^-(s+n)), in log space.
 
@@ -689,10 +717,7 @@ def selberg_Z(s: float, sp: LengthSpectrum) -> SpecialValue:
     disclosed via the completeness horizon.  Raises DomainError where Z
     is not a normal float, as soon as the series shows it.
     """
-    # NaN and inf fail too: NaN would never end the series loop, and inf
-    # makes the rounding bound inf * 0
-    if not 1.0 + 1e-3 < s < math.inf:
-        raise DomainError(f"selberg_Z requires 1 + 1e-3 < s < inf, got s={s}")
+    check_euler_s(s, "selberg_Z")
     log_zeta, zeta_err, q = _log_euler_zeta(s, sp)
     series, trunc, round_err = _log_Z_series(
         s, sp, -log_zeta - math.log(_FLOAT_MIN), q)
@@ -726,8 +751,7 @@ def euler_zeta(s: float, sp: LengthSpectrum) -> SpecialValue:
     The error estimate bounds the rounding of the terms, their sum and
     the final exp; the product over the finite spectrum is not truncated.
     """
-    if not 1.0 + 1e-3 < s < math.inf:
-        raise DomainError(f"euler_zeta requires 1 + 1e-3 < s < inf, got s={s}")
+    check_euler_s(s, "euler_zeta")
     log_v, err, _ = _log_euler_zeta(s, sp)
     v = _exp(log_v, f"euler_zeta({s})")
     return SpecialValue(v, v * (err + _EPS))
@@ -740,14 +764,7 @@ def zeta_motive_numeric(f: LaurentPoly, s: float,
     Summed in log space; the error estimate is sum |a(k)| times each
     factor's log error, plus the rounding of the sum and the final exp.
     """
-    for k in f.support():
-        if not 1.0 + 1e-3 < s - k < math.inf:
-            raise DomainError(
-                f"motive factor k={k} needs 1 + 1e-3 < s - k < inf, "
-                f"got s - k = {s - k}")
-    # the zero motive has no factor to check s against
-    if not math.isfinite(s):
-        raise DomainError(f"zeta_motive_numeric requires a finite s, got s={s}")
+    check_euler_s(s, "zeta_motive_numeric", f)
     log_v = 0.0
     err = 0.0
     scale = 0.0

@@ -17,7 +17,8 @@ the order-r gamma function is its w-derivative at w = 0.  The composites
 factor) are each a sum in log space with the kernel's estimates carried
 through, and one exp (_from_log); the double sine is a quotient of double
 gammas times its shift ladder in closed form.  The Selberg factor is done
-by direct quadrature and cross-checks the sine-product form.
+by direct quadrature and cross-checks the sine-product form; it is the
+one use of scipy, imported on its first call.
 """
 from __future__ import annotations
 
@@ -30,8 +31,6 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, mul
 from typing import List, Tuple, Union
-
-from scipy.integrate import quad
 
 Number = Union[float, complex]
 
@@ -129,23 +128,11 @@ def _simplex_table(r: int) -> Tuple[Tuple[float, ...], ...]:
                  for row in _simplex_exact(r))
 
 
-def _simplex_coeffs(r: int, s: float) -> List[float]:
-    """Coefficients c_j(s) with binom(n+r-1, r-1) = sum_j c_j(s) (n+s)^j,
-    by Horner on the cached table.  Since a_j[i] has the sign (-1)^i,
-    _simplex_coeffs(r, -s) gives sum_i |a_j[i]| s^i, the scale of the
-    rounding in c_j(s) for s > 0."""
-    out = []
-    for row in _simplex_table(r):
-        acc = 0.0
-        for a in row:
-            acc = acc * s + a
-        out.append(acc)
-    return out
-
-
 def _simplex_pair(r: int, s: float) -> Tuple[List[float], List[float]]:
-    """(_simplex_coeffs(r, s), _simplex_coeffs(r, -s)), bit for bit, from
-    one pass over the table: the coefficients and their rounding scale."""
+    """Coefficients c_j(s) with binom(n+r-1, r-1) = sum_j c_j(s) (n+s)^j,
+    and their rounding scale, by one Horner pass over the cached table at
+    s and at -s.  Since a_j[i] has the sign (-1)^i, the pass at -s gives
+    sum_i |a_j[i]| s^i, the scale of the rounding in c_j(s) for s > 0."""
     ms = -s
     out, scale = [], []
     for row in _simplex_table(r):
@@ -537,6 +524,9 @@ def selberg_fe_factor(s: float, params: SurfaceParams) -> SpecialValue:
     """
     if not 0 < s < 1:
         raise DomainError(f"selberg_fe_factor requires 0 < s < 1, got s={s}")
+    # the package's one use of scipy, whose import is most of the cost of
+    # importing selbergfe; imported here, it costs only its first caller
+    from scipy.integrate import quad
     integral, quad_err = quad(lambda t: math.pi * t * math.tan(math.pi * t),
                               0.0, s - 0.5, epsabs=1e-13, epsrel=1e-13)
     e = 4 - 4 * params.genus

@@ -324,6 +324,12 @@ def test_pgt_non_finite_xmax_exit_2(capsys, tmp_path, xmax, points):
      "--xmax must be finite and exceed e^1.10, got 2.0"),
     (("pgt", "--xmax", "nan", "--points", "3"),
      "--xmax must be finite and exceed e^1.10, got nan"),
+    (("zeta", "eval", "--s", "nan"),
+     "euler_zeta requires 1 + 1e-3 < s < inf, got s=nan"),
+    (("zeta", "eval", "--fn", "Z", "--s", "1.0"),
+     "selberg_Z requires 1 + 1e-3 < s < inf, got s=1.0"),
+    (("zeta", "eval", "--motive=0=1,1=-1", "--s", "1.5"),
+     "motive factor k=1 needs 1 + 1e-3 < s - k < inf, got s - k = 0.5"),
 ])
 def test_arguments_checked_before_the_spectrum_is_read(capsys, tmp_path,
                                                        argv, message):
@@ -495,8 +501,10 @@ def test_spectrum_bolza_status_to_top_level_out(capsys, tmp_path):
      "lengths must increase by more than 1e-09: 3.0 then 3.0000000001"),
     (b"# genus=2\n# horizon=0\n3.0 99999999999999999\n",
      "more than 2**53 classes"),
+    (b"# genus=2\n# horizon=3\n3.0 2\ninf 2\n",
+     "lengths must be finite, got inf"),
 ], ids=["not-utf-8", "genus", "multiplicity", "horizon", "close-lengths",
-        "classes"])
+        "classes", "infinite-length"])
 def test_spectrum_file_refusal_names_the_file(capsys, tmp_path, text,
                                               message):
     spath = tmp_path / "sp.txt"

@@ -269,12 +269,14 @@ def test_spectrum_is_frozen(spectrum5):
     ([(3.0, 2), (3.0 + 1e-10, 2)], "3.0 then 3.0000000001"),
     ([(3.0, 2), (2.0, 0)], "multiplicity must be >= 1 at length 2.0"),
     ([(3.0, 2), (2.0, 2), (4.0, 0)], "3.0 then 2.0"),
-    ([(3.0, 2), (math.nan, 2)], "3.0 then nan"),
-    ([(math.nan, 2)], "lengths must be positive, got nan"),
+    ([(3.0, 2), (math.nan, 2)], "lengths must be finite, got nan"),
+    ([(math.nan, 2)], "lengths must be finite, got nan"),
     ([(-1.0, 2), (3.0, 2)], "lengths must be positive, got -1.0"),
     ([(3.0, 10 ** 16)], "more than 2**53 classes"),
     ([(3.0, 10 ** 400)],
      "multiplicity must be an integer (not a bool) within int64 at length 3.0"),
+    ([(3.0, 2), (math.inf, 2)], "lengths must be finite, got inf"),
+    ([(-math.inf, 2), (3.0, 0)], "lengths must be finite, got -inf"),
 ])
 def test_spectrum_validation_names_the_row(entries, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 
 import mpmath
@@ -226,14 +227,17 @@ def test_non_finite_raises_domain_error():
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_simplex_table_is_the_exact_expansion(r, monkeypatch):
+    """The kernel's one pass gives c_j(s) and its rounding scale
+    sum_i |a_j[i]| s^i, each within a few roundings of the exact value."""
     points = (0.001, 0.5, 1.0, 1.3, 2.75, 6.0)
     for s in points:
         S = Fraction(s)
         exact = _binomial_in_m(r, S)
         rows = special._simplex_exact(r)
         assert [sum(a * S ** i for i, a in enumerate(row)) for row in rows] == exact
-        got = special._simplex_coeffs(r, s)
-        for c, e in zip(got, exact):
+        scale = [sum(abs(a) * S ** i for i, a in enumerate(row)) for row in rows]
+        got, got_scale = special._simplex_pair(r, s)
+        for c, e in zip(got + got_scale, exact + scale):
             assert abs(Fraction(c) - e) <= 8 * sys.float_info.epsilon * max(1, abs(e))
 
     log_gamma_r(r, 1.0)
@@ -242,18 +246,8 @@ def test_simplex_table_is_the_exact_expansion(r, monkeypatch):
         raise AssertionError("a Fraction was built")
     monkeypatch.setattr(special, "Fraction", no_fractions)
     for s in points:
-        special._simplex_coeffs(r, s)
+        special._simplex_pair(r, s)
         log_gamma_r(r, s)
-
-
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
-def test_simplex_pair_is_the_two_single_passes(r):
-    """The one pass that the kernel takes gives, bit for bit, the
-    coefficients at s and their rounding scale at -s."""
-    for s in (0.001, 0.5, 1.0, 1.3, 2.75, 6.0, 21.6, 1e8):
-        # repr tells -0.0 from 0.0, as == does not
-        assert repr(special._simplex_pair(r, s)) == repr(
-            (special._simplex_coeffs(r, s), special._simplex_coeffs(r, -s)))
 
 
 def test_caches_fill_lazily():
@@ -263,3 +257,34 @@ def test_caches_fill_lazily():
             "assert len(s._BERNOULLI) == 2")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+
+
+def test_scipy_loaded_only_by_the_quadrature(tmp_path):
+    """Only the quadrature form of the Selberg factor imports scipy: the
+    package, the CLI and every other command leave it unloaded."""
+    spectrum = str(tmp_path / "spectrum.txt")
+    code = textwrap.dedent(f"""\
+        import sys
+        import selbergfe
+        from selbergfe import cli
+
+        def scipy_loaded():
+            return any(m.split(".")[0] == "scipy" for m in sys.modules)
+
+        for argv in (["fe", "verify", "--poly", "0=-1,1=1"],
+                     ["special", "eval", "--fn", "sM", "--s", "0.3"],
+                     ["spectrum", "bolza", "--max-word-len", "4",
+                      "--out", {spectrum!r}],
+                     ["zeta", "eval", "--spectrum", {spectrum!r}, "--s", "2"],
+                     ["pgt", "--spectrum", {spectrum!r}, "--xmax", "100",
+                      "--points", "5"]):
+            assert cli.main(argv) == 0, argv
+        assert not scipy_loaded()
+        assert cli.main(["special", "eval", "--fn", "fe-factor",
+                         "--s", "0.3"]) == 0
+        assert scipy_loaded()
+        """)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ,
+                                             PYTHONPATH=os.pathsep.join(sys.path)))
+    assert run.returncode == 0, run.stderr
