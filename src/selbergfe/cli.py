@@ -8,7 +8,9 @@ or to --out.  An option is accepted only where it is read: a --genus,
 --r or --w that the chosen special function or identity ignores is a
 usage error, and nothing is read from a config file.  main builds the
 argparse tree once per process, on its first call rather than at
-import, and reuses it: argparse keeps no state between calls.
+import, and reuses it: argparse keeps no state between calls.  The
+spectrum, zeta eval and pgt handlers import geodesics, and numpy with it,
+when they run, so the other commands start without numpy.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import math
 import sys
 from typing import List, Optional, Sequence
 
-from . import formal, geodesics, laurent, special
+from . import formal, laurent, special
 from .laurent import SymmetryKind
 
 def _fmt(v) -> str:
@@ -189,6 +191,7 @@ def _cmd_special_check(args, out: _Output) -> int:
 
 
 def _cmd_spectrum_bolza(args, out: _Output) -> int:
+    from . import geodesics
     sp = geodesics.enumerate_spectrum(geodesics.bolza_group(),
                                       args.max_word_len)
     geodesics.save_spectrum(sp, args.spectrum_out)
@@ -200,6 +203,7 @@ def _cmd_spectrum_bolza(args, out: _Output) -> int:
 
 
 def _cmd_zeta_eval(args, out: _Output) -> int:
+    from . import geodesics
     # the arguments are checked before the spectrum file is read
     if args.motive is not None and args.fn == "Z":
         raise ValueError("--motive is only supported with --fn zeta")
@@ -224,6 +228,7 @@ _PGT_MAX_POINTS = 100_000
 
 
 def _cmd_pgt(args, out: _Output) -> int:
+    from . import geodesics
     if not 1 <= args.points <= _PGT_MAX_POINTS:
         raise ValueError(f"--points must be in 1..{_PGT_MAX_POINTS}, "
                          f"got {args.points}")

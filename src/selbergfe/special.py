@@ -517,6 +517,14 @@ def s_M(s: float, params: SurfaceParams) -> SpecialValue:
                      f"s_M({s!r}) at genus {params.genus}")
 
 
+@lru_cache(maxsize=None)
+def _quad():
+    """scipy's quad, imported on the first call: the package's one use of
+    scipy, whose import would be most of the cost of importing selbergfe."""
+    from scipy.integrate import quad
+    return quad
+
+
 def selberg_fe_factor(s: float, params: SurfaceParams) -> SpecialValue:
     """exp((4-4g) * integral_0^{s-1/2} pi t tan(pi t) dt) for s in (0, 1).
 
@@ -524,11 +532,8 @@ def selberg_fe_factor(s: float, params: SurfaceParams) -> SpecialValue:
     """
     if not 0 < s < 1:
         raise DomainError(f"selberg_fe_factor requires 0 < s < 1, got s={s}")
-    # the package's one use of scipy, whose import is most of the cost of
-    # importing selbergfe; imported here, it costs only its first caller
-    from scipy.integrate import quad
-    integral, quad_err = quad(lambda t: math.pi * t * math.tan(math.pi * t),
-                              0.0, s - 0.5, epsabs=1e-13, epsrel=1e-13)
+    integral, quad_err = _quad()(lambda t: math.pi * t * math.tan(math.pi * t),
+                                 0.0, s - 0.5, epsabs=1e-13, epsrel=1e-13)
     e = 4 - 4 * params.genus
     return _from_log(e * integral, abs(e) * max(quad_err, 1e-15),
                      f"selberg_fe_factor({s!r}) at genus {params.genus}")

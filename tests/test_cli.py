@@ -387,6 +387,15 @@ def test_parser_built_once_not_at_import():
     assert at_import == 0 and first > 0 and second == first
 
 
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "selbergfe", "fe",
+                           "derive-base"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: PASS" in proc.stdout
+
+
 def test_cached_parser_keeps_no_state(capsys, tmp_path, monkeypatch):
     spath = tmp_path / "sp.txt"
     spath.write_text("# genus=2\n# horizon=3\n3.0 2\n4.0 2\n")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import selbergfe
 from selbergfe import geodesics
 from selbergfe.geodesics import (BOLZA_LENGTH, LengthSpectrum,
                                  SpectrumFormatError, bolza_group,
@@ -858,3 +859,24 @@ def test_pgt_warns_once_for_many_points_beyond_horizon():
 def test_pgt_rejects_small_x(spectrum5):
     with pytest.raises(DomainError):
         pgt_table(spectrum5, [2.0])
+
+
+_PACKAGE_NAMES = ["BOLZA_LENGTH", "LengthSpectrum", "bolza_group",
+                  "enumerate_spectrum", "euler_zeta", "geodesic_count",
+                  "load_spectrum", "pgt_table", "save_spectrum", "selberg_Z",
+                  "zeta_motive_numeric"]
+
+
+@pytest.mark.parametrize("name", _PACKAGE_NAMES)
+def test_package_names_are_the_geodesics_objects(name):
+    """The package's spectrum names, resolved on first read, are the
+    geodesics objects under both spellings."""
+    namespace = {}
+    exec(f"from selbergfe import {name}", namespace)
+    assert getattr(selbergfe, name) is getattr(geodesics, name)
+    assert namespace[name] is getattr(geodesics, name)
+
+
+def test_unknown_package_name_raises():
+    with pytest.raises(AttributeError, match="'selbergfe'"):
+        selbergfe.no_such_name

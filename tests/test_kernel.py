@@ -259,30 +259,37 @@ def test_caches_fill_lazily():
                    env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
 
 
-def test_scipy_loaded_only_by_the_quadrature(tmp_path):
-    """Only the quadrature form of the Selberg factor imports scipy: the
-    package, the CLI and every other command leave it unloaded."""
+def test_numpy_and_scipy_load_only_where_used(tmp_path):
+    """The package, the CLI and the exact and special-function commands
+    load neither numpy nor scipy; the spectrum commands load numpy, and
+    only the quadrature form of the Selberg factor loads scipy."""
     spectrum = str(tmp_path / "spectrum.txt")
     code = textwrap.dedent(f"""\
         import sys
         import selbergfe
         from selbergfe import cli
 
-        def scipy_loaded():
-            return any(m.split(".")[0] == "scipy" for m in sys.modules)
+        def loaded(package):
+            return any(m.split(".")[0] == package for m in sys.modules)
 
-        for argv in (["fe", "verify", "--poly", "0=-1,1=1"],
-                     ["special", "eval", "--fn", "sM", "--s", "0.3"],
-                     ["spectrum", "bolza", "--max-word-len", "4",
-                      "--out", {spectrum!r}],
-                     ["zeta", "eval", "--spectrum", {spectrum!r}, "--s", "2"],
-                     ["pgt", "--spectrum", {spectrum!r}, "--xmax", "100",
-                      "--points", "5"]):
-            assert cli.main(argv) == 0, argv
-        assert not scipy_loaded()
-        assert cli.main(["special", "eval", "--fn", "fe-factor",
-                         "--s", "0.3"]) == 0
-        assert scipy_loaded()
+        def run(*commands):
+            for argv in commands:
+                assert cli.main(argv) == 0, argv
+
+        run(["fe", "verify", "--poly", "0=-1,1=1"],
+            ["fe", "derive-base"],
+            ["motive", "analyze", "--poly", "0=-1,1=1"],
+            ["special", "eval", "--fn", "sM", "--s", "0.3"],
+            ["special", "check", "--identity", "ladder"])
+        assert not loaded("numpy") and not loaded("scipy")
+        run(["spectrum", "bolza", "--max-word-len", "4",
+             "--out", {spectrum!r}],
+            ["zeta", "eval", "--spectrum", {spectrum!r}, "--s", "2"],
+            ["pgt", "--spectrum", {spectrum!r}, "--xmax", "100",
+             "--points", "5"])
+        assert loaded("numpy") and not loaded("scipy")
+        run(["special", "eval", "--fn", "fe-factor", "--s", "0.3"])
+        assert loaded("scipy")
         """)
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=dict(os.environ,
