@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import index
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Tuple
 
@@ -38,12 +39,14 @@ class AutomorphyClass:
 class LaurentPoly:
     """Canonical sparse Laurent polynomial with exact integer coefficients.
 
-    No zero coefficient is ever stored; equality is coefficient-wise.
-    `coeffs` is a read-only view (MappingProxyType) of the private
-    exponent -> coefficient dict, built once in __init__: reading it
-    allocates nothing, and item assignment raises TypeError.  Nothing
-    outside the instance holds the dict, and neither attribute is
-    rebound after __init__, so instances are immutable by convention.
+    Exponents and coefficients must be integers (int, or any type with
+    __index__, such as numpy's): anything else raises TypeError naming
+    the term.  No zero coefficient is ever stored; equality is
+    coefficient-wise.  `coeffs` is a read-only view (MappingProxyType) of
+    the private exponent -> coefficient dict, built once in __init__:
+    reading it allocates nothing, and item assignment raises TypeError.
+    Nothing outside the instance holds the dict, and neither attribute
+    is rebound after __init__, so instances are immutable by convention.
     """
 
     __slots__ = ("_coeffs", "coeffs")
@@ -52,8 +55,13 @@ class LaurentPoly:
         clean = {}
         if coeffs:
             for k, a in coeffs.items():
-                if a != 0:
-                    clean[int(k)] = int(a)
+                try:
+                    k, a = index(k), index(a)
+                except TypeError:
+                    raise TypeError(f"bad term {k!r}: {a!r}: exponents and "
+                                    "coefficients must be integers") from None
+                if a:
+                    clean[k] = a
         self._coeffs = clean
         self.coeffs = MappingProxyType(clean)
 
@@ -181,8 +189,15 @@ def has_symmetry(f: LaurentPoly, D: int, C: int) -> bool:
         raise ValueError("C must be +1 or -1")
     c = f._coeffs
     # checking k over the support suffices: the condition at k and at
-    # D-k are equivalent for C = +-1, and both-zero cases are vacuous
-    return all(c.get(D - k, 0) == C * a for k, a in c.items())
+    # D-k are equivalent for C = +-1, and both-zero cases are vacuous.
+    # A plain loop, not all(genexpr): a call that returns False at the
+    # first term took 0.80 us through the generator against 0.36 us, and
+    # 9 in 10 calls of the criteria 1-2 sweeps do (timeit, CPython 3.11,
+    # Xeon VM).
+    for k, a in c.items():
+        if c.get(D - k, 0) != C * a:
+            return False
+    return True
 
 
 # -- the CLI text syntax -------------------------------------------------

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,6 +222,31 @@ def test_theorem3_even_power_no_sine():
 def test_theorem3_odd_motive_fails():
     v = verify_theorem3(LaurentPoly({1: 1, 0: -1}), 1)
     assert not v.holds and v.consistent
+
+
+@pytest.mark.parametrize("D", [1.5, 1.0, "1"])
+@pytest.mark.parametrize("fn", [reflect_zeta, reflect_Z, verify_theorem2,
+                                verify_theorem3])
+def test_non_integer_D_refused(fn, D):
+    with pytest.raises(TypeError):
+        fn(LaurentPoly({0: 1, 1: -1}), D)
+
+
+@pytest.mark.parametrize("fn", [reflect_zeta, reflect_Z, verify_theorem2,
+                                verify_theorem3])
+def test_numpy_integer_D_is_an_int(fn):
+    f = LaurentPoly({0: 1, 1: -1})
+    assert fn(f, np.int64(1)) == fn(f, 1)
+
+
+def test_verdict_is_slotted():
+    v = verify_theorem2(binom_power(3), 3)
+    assert not hasattr(v, "__dict__")
+    assert [fl.name for fl in dataclasses.fields(v)] == [
+        "holds", "lhs_canonical", "rhs_canonical", "residual",
+        "coefficient_condition"]
+    assert v == verify_theorem2(binom_power(3), 3)
+    assert v.consistent is True
 
 
 def test_theorem_equivalence_sampled():

@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +116,32 @@ def test_coeffs_is_one_read_only_view():
     with pytest.raises(TypeError):
         f.coeffs[0] = 5
     assert f == LaurentPoly({-1: 1, 2: -3})
+
+
+@pytest.mark.parametrize("f", [LaurentPoly(), LaurentPoly({1: 1, 0: -1})],
+                         ids=["zero", "nonzero"])
+@pytest.mark.parametrize("C", [0, 2, -2, None])
+def test_has_symmetry_refuses_a_sign_other_than_pm1(f, C):
+    with pytest.raises(ValueError, match="C must be"):
+        has_symmetry(f, 1, C)
+
+
+@pytest.mark.parametrize("coeffs, term", [
+    ({0: 2.5, 1.9: 1}, "0: 2.5"),
+    ({0: "2"}, "0: '2'"),
+    ({0: 0.4}, "0: 0.4"),
+    ({1.0: 1}, "1.0: 1"),
+])
+def test_init_refuses_non_integer_terms(coeffs, term):
+    with pytest.raises(TypeError, match=f"bad term {re.escape(term)}:"):
+        LaurentPoly(coeffs)
+
+
+def test_init_takes_integer_types_and_drops_zeros():
+    f = LaurentPoly({np.int64(2): np.int64(3), True: -1, 0: np.int32(0)})
+    assert f.coeffs == {2: 3, 1: -1}
+    assert all(type(k) is int and type(a) is int for k, a in f.coeffs.items())
+    assert LaurentPoly({0: np.int64(0)}).is_zero()
 
 
 @given(st.one_of(st.just(LaurentPoly()), small_polys), st.integers(-8, 8),
