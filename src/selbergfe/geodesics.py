@@ -56,7 +56,6 @@ import functools
 import math
 import os
 import re
-import sys
 import tempfile
 import warnings
 from dataclasses import dataclass, field
@@ -65,8 +64,8 @@ from typing import Iterator, List, NoReturn, Optional, Sequence, Tuple
 import numpy as np
 
 from .laurent import LaurentPoly
-from .special import (_FLOAT_MIN, DomainError, SpecialValue, SurfaceParams,
-                      _exp, _normal)
+from .special import (_EPS, _FLOAT_MIN, DomainError, SpecialValue,
+                      SurfaceParams, _exp, _normal)
 
 _TRACE_TOL = 1e-9
 _LENGTH_MERGE_TOL = 1e-9
@@ -105,7 +104,7 @@ class LengthSpectrum:
     cum_mults: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        SurfaceParams(self.genus)  # the one genus rule: ValueError below 2
+        SurfaceParams(self.genus)  # the one genus rule: an integer >= 2
         lengths = np.array(self.lengths, dtype=np.float64)
         n = lengths.size
         if lengths.shape != (n,) or np.shape(self.mults) != (n,):
@@ -564,7 +563,6 @@ def _raise_first_bad_line(path: str, text: str,
 
 # -- Euler products ------------------------------------------------------
 
-_EPS = sys.float_info.epsilon
 # A row of the series in selberg_Z keeps its k-th term while that term's
 # y^k is still above 2^-60 of y, i.e. while (k - 1)(s + 1) length <= this:
 # the tail beyond it is then far below the rounding of the row's first term.

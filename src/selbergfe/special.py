@@ -16,9 +16,9 @@ the order-r gamma function is its w-derivative at w = 0.  The composites
 (gamma_r, gamma_M, the sines, s_M and the Selberg functional-equation
 factor) are each a sum in log space with the kernel's estimates carried
 through, and one exp (_from_log); the double sine is a quotient of double
-gammas times its shift ladder in closed form.  The Selberg factor is done
-by direct quadrature and cross-checks the sine-product form; it is the
-one use of scipy, imported on its first call.
+gammas times its shift ladder in closed form.  The Selberg factor is a
+closed form in the Clausen function, whose series shares only the
+Bernoulli table with the kernel, and cross-checks the sine-product form.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import add, index, mul
 from typing import List, Tuple, Union
 
 Number = Union[float, complex]
@@ -51,11 +51,18 @@ class SpecialValue:
 
 @dataclass(frozen=True)
 class SurfaceParams:
+    """A closed surface of genus >= 2.  The genus must be an integer (int,
+    or any type with __index__): anything else raises TypeError naming it."""
     genus: int
 
     def __post_init__(self):
-        if self.genus < 2:
-            raise ValueError(f"genus must be >= 2, got {self.genus}")
+        try:
+            genus = index(self.genus)
+        except TypeError:
+            raise TypeError(f"genus must be an integer, got {self.genus!r}") from None
+        if genus < 2:
+            raise ValueError(f"genus must be >= 2, got {genus}")
+        object.__setattr__(self, "genus", genus)
 
 
 _EPS = sys.float_info.epsilon
@@ -517,25 +524,75 @@ def s_M(s: float, params: SurfaceParams) -> SpecialValue:
                      f"s_M({s!r}) at genus {params.genus}")
 
 
+# Clausen series terms summed by selberg_fe_factor: at |theta| <= pi the
+# tail after them is below 2e-20
+_CLAUSEN_TERMS = 27
+
+
 @lru_cache(maxsize=None)
-def _quad():
-    """scipy's quad, imported on the first call: the package's one use of
-    scipy, whose import would be most of the cost of importing selbergfe."""
-    from scipy.integrate import quad
-    return quad
+def _clausen_weights() -> Tuple[Tuple[float, ...], float]:
+    """|B_2n| / (2n (2n+1)!) for n = _CLAUSEN_TERMS..1, highest first for
+    Horner, each from the Euler-Maclaurin weight B_2n / (2n)! and rounded
+    once; and 3/2 of the first omitted term at |theta| = pi, a bound on
+    the tail at every |theta| <= pi (see selberg_fe_factor)."""
+    *head, omitted = (abs(b) / (2 * n * (2 * n + 1))
+                      for n, b in enumerate(_em_weights(_CLAUSEN_TERMS), 1))
+    return (tuple(map(float, reversed(head))),
+            1.5 * float(omitted) * math.pi ** (2 * _CLAUSEN_TERMS + 2))
 
 
 def selberg_fe_factor(s: float, params: SurfaceParams) -> SpecialValue:
-    """exp((4-4g) * integral_0^{s-1/2} pi t tan(pi t) dt) for s in (0, 1).
+    """exp((4-4g) * integral_0^{s-1/2} pi t tan(pi t) dt) for s in (0, 1),
+    in closed form: with h = s - 1/2 and Cl_2 the Clausen function,
 
-    Raises DomainError where the value is not a normal float.
+        integral = -h log(2 sin pi s) - Cl_2(2 pi s) / (2 pi),
+
+    as Cl_2'(theta) = -log|2 sin(theta/2)|.  With u = s, or s - 1 (exact,
+    Sterbenz) for s > 1/2, sin pi s = sin pi|u| and Cl_2(2 pi s) =
+    Cl_2(theta) at theta = 2 pi u in [-pi, pi], where
+
+        Cl_2(theta) / theta = 1 - log|theta| + P,
+        P = sum_{n>=1} |B_2n| theta^2n / (2n (2n+1)!).
+
+    Each term of P is at most (theta / 2 pi)^2 <= 1/4 of the one before,
+    as |B_2n| / (2n)! = 2 zeta(2n) / (2 pi)^2n: the tail past
+    _CLAUSEN_TERMS terms is at most 4/3 of the first omitted one, and a
+    term n carries at most (1/2 + 3n/2) eps of rounding, so P carries
+    less than 4 eps P.  With L = log(2 sin pi|u|) and C = Cl_2(theta) /
+    theta, the bound on the integral's error adds
+
+        eps |h| (2 + 2|L|)      rounding h (exact for s >= 1/4), the sine
+                                and its log (as in _log_s2), the product;
+        |u| (tail + eps (|L| + |C|))
+                                the truncation, and theta's rounding by
+                                eps of itself, as theta C' = -L - C;
+        eps |u| (1 + 2|log theta| + 4 P + |C|)
+                                the log, P, the two sums, the product;
+        eps |integral|          the difference.
+
+    Raises DomainError where the value is not a normal float, as it is
+    for every s below the normal range.
     """
     if not 0 < s < 1:
         raise DomainError(f"selberg_fe_factor requires 0 < s < 1, got s={s}")
-    integral, quad_err = _quad()(lambda t: math.pi * t * math.tan(math.pi * t),
-                                 0.0, s - 0.5, epsabs=1e-13, epsrel=1e-13)
+    u = s if s <= 0.5 else s - 1.0
+    h = s - 0.5
+    log_sine = math.log(2.0 * math.sin(math.pi * abs(u)))
+    theta = 2.0 * math.pi * u
+    log_theta = math.log(abs(theta))
+    t = theta * theta
+    weights, tail = _clausen_weights()
+    p = 0.0
+    for w in weights:
+        p = p * t + w
+    p *= t
+    c = 1.0 - log_theta + p
+    integral = -h * log_sine - u * c
+    err = (_EPS * (abs(h) * (2 + 2 * abs(log_sine)) + abs(integral))
+           + abs(u) * (tail + _EPS * (abs(log_sine) + 2 * abs(c) + 1
+                                      + 2 * abs(log_theta) + 4 * p)))
     e = 4 - 4 * params.genus
-    return _from_log(e * integral, abs(e) * max(quad_err, 1e-15),
+    return _from_log(e * integral, abs(e) * err,
                      f"selberg_fe_factor({s!r}) at genus {params.genus}")
 
 
@@ -588,7 +645,7 @@ def check_ode() -> List[CheckRow]:
 
 
 def check_fe_integral(genus: int) -> List[CheckRow]:
-    """Quadrature factor vs (S_2(s) S_2(s+1))^(2-2g) on a 17-point grid."""
+    """Closed-form factor vs (S_2(s) S_2(s+1))^(2-2g) on a 17-point grid."""
     params = SurfaceParams(genus)
     rows = []
     for i in range(17):

@@ -149,6 +149,19 @@ def test_special_eval_fe_factor_domain_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("s", ["1e-12", "1e-9", "0.999999999"])
+def test_special_eval_fe_factor_near_the_ends_is_quiet(s):
+    """Next to the poles of tan the factor is a value on stdout, with
+    nothing on stderr."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "selbergfe", "special", "eval",
+                           "--fn", "fe-factor", "--s", s],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("value = ")
+
+
 def test_special_eval_zr_exact_at_negative_integer(capsys):
     """zeta_H(-20, 1) = -B_21 / 21 = 0 and zeta_H(-400, 2) = -1, exactly:
     the Euler-Maclaurin partial sum and tail would cancel there."""
@@ -165,7 +178,7 @@ def test_special_eval_zr_exact_at_negative_integer(capsys):
     ("special", "eval", "--fn", "zr", "--r", "1", "--w=-400.5", "--s", "2"),
     # (S_2(s) S_2(s+1))^(2-2g) overflows in s_M itself
     ("special", "eval", "--genus", "100000", "--fn", "sM", "--s", "0.3"),
-    # the quadrature form's exp((4-4g) integral) overflows
+    # the integral form's exp((4-4g) integral) overflows
     ("special", "eval", "--genus", "100000", "--fn", "fe-factor", "--s", "0.001"),
 ])
 def test_special_eval_overflow_exit_2(capsys, argv):

@@ -262,7 +262,7 @@ def test_caches_fill_lazily():
 def test_numpy_and_scipy_load_only_where_used(tmp_path):
     """The package, the CLI and the exact and special-function commands
     load neither numpy nor scipy; the spectrum commands load numpy, and
-    only the quadrature form of the Selberg factor loads scipy."""
+    nothing loads scipy: the Selberg factor is in closed form."""
     spectrum = str(tmp_path / "spectrum.txt")
     code = textwrap.dedent(f"""\
         import sys
@@ -280,7 +280,9 @@ def test_numpy_and_scipy_load_only_where_used(tmp_path):
             ["fe", "derive-base"],
             ["motive", "analyze", "--poly", "0=-1,1=1"],
             ["special", "eval", "--fn", "sM", "--s", "0.3"],
-            ["special", "check", "--identity", "ladder"])
+            ["special", "check", "--identity", "ladder"],
+            ["special", "eval", "--fn", "fe-factor", "--s", "0.3"],
+            ["special", "check", "--identity", "fe-integral"])
         assert not loaded("numpy") and not loaded("scipy")
         run(["spectrum", "bolza", "--max-word-len", "4",
              "--out", {spectrum!r}],
@@ -288,8 +290,6 @@ def test_numpy_and_scipy_load_only_where_used(tmp_path):
             ["pgt", "--spectrum", {spectrum!r}, "--xmax", "100",
              "--points", "5"])
         assert loaded("numpy") and not loaded("scipy")
-        run(["special", "eval", "--fn", "fe-factor", "--s", "0.3"])
-        assert loaded("scipy")
         """)
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=dict(os.environ,

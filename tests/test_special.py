@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import re
 
 import mpmath
@@ -322,6 +323,24 @@ def test_surface_params_rejects_genus_one():
         SurfaceParams(1)
 
 
+@pytest.mark.parametrize("genus", [2.5, 3.0, "3", None])
+def test_surface_params_refuses_non_integer_genus(genus):
+    """A genus that is not an integer is a TypeError naming it, not a
+    surface that does not exist or an unrelated comparison error."""
+    with pytest.raises(TypeError, match=re.escape(f"genus must be an integer, "
+                                                  f"got {genus!r}")):
+        SurfaceParams(genus)
+
+
+def test_surface_params_takes_index_types():
+    class Three:
+        def __index__(self):
+            return 3
+
+    params = SurfaceParams(Three())
+    assert params.genus == 3 and type(params.genus) is int
+
+
 def test_gamma_M_positive():
     params = SurfaceParams(2)
     assert gamma_M(0.5, params).value > 0
@@ -435,6 +454,43 @@ def test_fe_factor_matches_sine_product():
 def test_fe_integral_grid(genus):
     rows = check_fe_integral(genus)
     assert all(r.ok for r in rows)
+
+
+def _mp_fe_factor(s, genus):
+    """exp((4-4g) I) at 50 digits, I = -(s - 1/2) log(2 sin pi s) -
+    Cl_2(2 pi s) / (2 pi) with mpmath's Clausen function."""
+    with mpmath.workdps(50):
+        S = mpmath.mpf(s)
+        integral = (-(S - 0.5) * mpmath.log(2 * mpmath.sinpi(S))
+                    - mpmath.clsin(2, 2 * mpmath.pi * S) / (2 * mpmath.pi))
+        return mpmath.exp((4 - 4 * genus) * integral)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.8, 0.95])
+def test_fe_factor_oracle_is_the_integral(s):
+    """_mp_fe_factor, the reference of the estimate test, against the
+    integral itself by mpmath's quadrature at 50 digits."""
+    with mpmath.workdps(50):
+        integral = mpmath.quad(lambda t: mpmath.pi * t * mpmath.tan(mpmath.pi * t),
+                               [0, mpmath.mpf(s) - 0.5])
+        assert abs(mpmath.log(_mp_fe_factor(s, 2)) / -4 - integral) < 1e-40
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_fe_factor_estimate_bounds_actual_error(genus):
+    """abs_err_estimate >= |value - mpmath| on a seeded grid that reaches
+    within 1e-12 of both ends of (0, 1), next to the poles of tan."""
+    rng = random.Random(2011)
+    near_zero = [1e-12, 1e-9, 1e-6] + [10 ** -rng.uniform(1, 15) for _ in range(6)]
+    grid = (near_zero + [1 - x for x in near_zero]
+            + [0.25, 0.5, 1 - 2 ** -53] + [rng.random() for _ in range(12)])
+    params = SurfaceParams(genus)
+    for s in grid:
+        sv = selberg_fe_factor(s, params)
+        ref = _mp_fe_factor(s, genus)
+        err = float(abs(sv.value - ref))
+        assert err <= sv.abs_err_estimate, s
+        assert sv.abs_err_estimate < 1e-12 * sv.value, s
 
 
 def test_fe_factor_genus_scaling():
