@@ -184,9 +184,12 @@ def has_symmetry(f: LaurentPoly, D: int, C: int) -> bool:
 
     For nonzero f this is false whenever D differs from the forced
     value min_exp + max_exp; f = 0 satisfies both signs for every D.
+    D must be an integer (int or any type with __index__): anything
+    else raises TypeError, also for f = 0.
     """
     if C not in (-1, 1):
         raise ValueError("C must be +1 or -1")
+    D = index(D)
     c = f._coeffs
     # checking k over the support suffices: the condition at k and at
     # D-k are equivalent for C = +-1, and both-zero cases are vacuous.

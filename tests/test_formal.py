@@ -62,6 +62,28 @@ def test_no_zero_exponent_stored(a, b, e):
         _assert_no_zero_stored(p)
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", None])
+def test_non_integer_exponents_refused(bad):
+    with pytest.raises(TypeError, match="bad term"):
+        FormalProduct(zeta_exp={bad: 1})
+    with pytest.raises(TypeError, match="bad term"):
+        FormalProduct(s2_exp={0: bad})
+    with pytest.raises(TypeError, match="bad sine exponent"):
+        FormalProduct(sin_exp=bad)
+    with pytest.raises(TypeError, match="bad power"):
+        FormalProduct(zeta_exp={0: 1}, sin_exp=2) ** bad
+
+
+def test_numpy_integer_exponents_are_ints():
+    p = FormalProduct({np.int64(-1): np.int32(2)}, {np.int8(1): np.int64(-1)},
+                      {np.int16(2): np.int64(3)}, np.int64(4))
+    assert p == FormalProduct({-1: 2}, {1: -1}, {2: 3}, 4)
+    assert all(type(x) is int for kv in p._exp.items() for x in kv)
+    assert p ** np.int64(-2) == p ** -2
+    assert all(type(v) is int for v in (p ** np.int64(-2))._exp.values())
+    assert FormalProduct({0: np.int64(0)}, sin_exp=np.int64(0)).is_empty()
+
+
 def test_zero_exponents_are_dropped_and_views_read_only():
     assert FormalProduct({0: 0}, {-1: 0}, {2: 0}, 0) == EMPTY
     assert FormalProduct({0: 0}).is_empty()
@@ -224,16 +246,22 @@ def test_theorem3_odd_motive_fails():
     assert not v.holds and v.consistent
 
 
+D_TAKERS = [reflect_zeta, reflect_Z, verify_theorem2, verify_theorem3,
+            pytest.param(lambda f, D: has_symmetry(f, D, -1),
+                         id="has_symmetry")]
+
+
 @pytest.mark.parametrize("D", [1.5, 1.0, "1"])
-@pytest.mark.parametrize("fn", [reflect_zeta, reflect_Z, verify_theorem2,
-                                verify_theorem3])
+@pytest.mark.parametrize("fn", D_TAKERS)
 def test_non_integer_D_refused(fn, D):
     with pytest.raises(TypeError):
         fn(LaurentPoly({0: 1, 1: -1}), D)
+    # the zero polynomial holds for every integer D, never for others
+    with pytest.raises(TypeError):
+        fn(LaurentPoly(), D)
 
 
-@pytest.mark.parametrize("fn", [reflect_zeta, reflect_Z, verify_theorem2,
-                                verify_theorem3])
+@pytest.mark.parametrize("fn", D_TAKERS)
 def test_numpy_integer_D_is_an_int(fn):
     f = LaurentPoly({0: 1, 1: -1})
     assert fn(f, np.int64(1)) == fn(f, 1)
@@ -243,8 +271,9 @@ def test_verdict_is_slotted():
     v = verify_theorem2(binom_power(3), 3)
     assert not hasattr(v, "__dict__")
     assert [fl.name for fl in dataclasses.fields(v)] == [
-        "holds", "lhs_canonical", "rhs_canonical", "residual",
-        "coefficient_condition"]
+        "holds", "lhs_canonical", "rhs_canonical", "coefficient_condition"]
+    # built when read, not stored
+    assert v.residual == quotient(v.lhs_canonical, v.rhs_canonical)
     assert v == verify_theorem2(binom_power(3), 3)
     assert v.consistent is True
 
@@ -275,8 +304,7 @@ def _engine_verdicts(f, D):
     each side, then the canonicalized quotient."""
     def verdict(lhs, rhs, condition=None):
         lhs, rhs = canonicalize(lhs), canonicalize(rhs)
-        res = quotient(lhs, rhs)
-        return Verdict(res.is_empty(), lhs, rhs, res, condition)
+        return Verdict(quotient(lhs, rhs).is_empty(), lhs, rhs, condition)
 
     zeta = from_motive_zeta(f)
     yield verify_theorem2(f, D), verdict(reflect_zeta(f, D), zeta,
@@ -305,8 +333,13 @@ def test_verifiers_equal_engine_composition():
         for D in range(-8, 9):
             for got, want in _engine_verdicts(f, D):
                 assert got == want, (f, D)
+                # equality reads no residual, so it is checked on its own
+                res = got.residual
+                assert res == quotient(want.lhs_canonical,
+                                       want.rhs_canonical), (f, D)
+                assert got.holds == res.is_empty(), (f, D)
                 assert all(p.is_canonical() for p in
-                           (got.lhs_canonical, got.rhs_canonical, got.residual))
+                           (got.lhs_canonical, got.rhs_canonical, res))
                 checked += 1
     assert checked > 2 * 17 * 3 ** 7
 
@@ -376,6 +409,8 @@ def test_derive_base_negative_control():
     v = derive_base_zeta_fe(collapse_sines=False)
     assert not v.holds
     assert not v.residual.is_empty()
+    assert v.residual == quotient(v.lhs_canonical, v.rhs_canonical,
+                                  collapse_sines=False)
 
 
 def test_derive_base_genus_symbolic():
