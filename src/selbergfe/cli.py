@@ -67,6 +67,9 @@ def _cmd_motive_analyze(args, out: _Output) -> int:
                   f" = zeta_M(f)(s)^-1 (2 sin pi s)^((4-4g)*{f1})")
         out.write(f"Z functional equation: Z_M(f)({auto.D + 1}-s)"
                   f" = Z_M(f)(s)^{auto.C} S_M(f)(s)^{auto.C}")
+    elif auto.kind is SymmetryKind.ZERO:
+        out.write("functional equation: holds at every D "
+                  "(zeta_M(f) = Z_M(f) = 1 for f = 0)")
     else:
         out.write("functional equation: none (no reflection symmetry)")
     return 0

@@ -21,9 +21,10 @@ Zeta-side products are canonical by construction: from_motive_zeta and
 reflect_zeta emit only zeta_M and sine keys, never an S_2(s+j) key.
 Canonical products are closed under the group law (multiply, inverse,
 power), since no S_2(s+j) key with j != 0 can appear in a merge of maps
-that hold none.  So the verifiers rewrite only the Z-side reflection,
-and a zeta-side verdict is one comparison of the two built maps: as no
-map stores a zero, equal maps are exactly an empty quotient.
+that hold none.  So the verifiers rewrite only the Z-side reflection.
+Each verifier builds its two sides and hands them to Verdict, which
+sets holds itself by one comparison of the two maps: as no map stores a
+zero, equal maps are exactly an empty quotient.
 
 Each (family, shift) key is packed into the one int 4*shift + family,
 so the map is an int -> int dict, which CPython's cyclic garbage
@@ -36,8 +37,7 @@ from operator import index
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional
 
-from .laurent import (LaurentPoly, SymmetryKind, detect_automorphy,
-                      eval_at_one, has_symmetry)
+from .laurent import LaurentPoly, SymmetryKind, detect_automorphy, eval_at_one
 
 # key = 4*shift + family, so family = key & 3 and shift = key >> 2, also
 # for shift < 0.  In a sweep that keeps its verdicts alive, with
@@ -153,33 +153,34 @@ EMPTY = FormalProduct()
 # Slotted, not frozen: a frozen dataclass sets each field through
 # object.__setattr__ in __init__, so building one took 0.87 us against
 # 0.33 us slotted, and 34 are built per polynomial in a sweep.  Freezing
-# bought no hash: FormalProduct has none.  No residual field: sweeps read
-# holds, and building lhs / rhs in every verdict made a theorem 2 verdict
-# take 4.5 us against 2.9 us now (timeit minima, CPython 3.11, Xeon VM).
-@dataclass(slots=True)
+# bought no hash: FormalProduct has none.  Only the two sides and holds
+# are stored, as sweeps read holds: building lhs / rhs in every verdict
+# made a theorem 2 verdict take 4.5 us against 2.9 us, and running the
+# coefficient test in it 3.1 us against 2.4 us now (timeit minima of
+# verify_theorem2((x-1)^3, 3), CPython 3.11, Xeon VM).
+@dataclass(slots=True, init=False)
 class Verdict:
     """The outcome of one verifier: does lhs == rhs hold as a formal identity?
 
-    holds compares the two exponent maps; residual is lhs / rhs, built
-    when read, and empty exactly when holds is True.  A zeta-side
-    verdict also carries the coefficient test, so `consistent` can say
-    whether the two conditions agree.  Instances are immutable by
-    convention: no code assigns a field after construction.
+    Built from the two canonical sides alone: the constructor sets holds
+    by comparing their exponent maps, so no verdict can hold while its
+    sides differ.  residual is lhs / rhs, built when read, and empty
+    exactly when holds is True.  Instances are immutable by convention:
+    no code assigns a field after construction.
     """
-    holds: bool
     lhs_canonical: FormalProduct
     rhs_canonical: FormalProduct
-    coefficient_condition: Optional[bool] = None
+    holds: bool
+
+    def __init__(self, lhs_canonical: FormalProduct,
+                 rhs_canonical: FormalProduct):
+        self.lhs_canonical = lhs_canonical
+        self.rhs_canonical = rhs_canonical
+        self.holds = lhs_canonical._exp == rhs_canonical._exp
 
     @property
     def residual(self) -> FormalProduct:
         return _add(self.lhs_canonical._exp, self.rhs_canonical._exp, -1)
-
-    @property
-    def consistent(self) -> Optional[bool]:
-        if self.coefficient_condition is None:
-            return None
-        return self.holds == self.coefficient_condition
 
 
 # -- constructors from a motive ------------------------------------------
@@ -244,17 +245,13 @@ def s_motive_factor(f: LaurentPoly) -> FormalProduct:
 
 # -- canonicalization and comparison -------------------------------------
 
-def canonicalize(p: FormalProduct, collapse_sines: bool = True) -> FormalProduct:
+def canonicalize(p: FormalProduct) -> FormalProduct:
     """Reduce every S_2(s+j) to S_2(s) times a sine power.
 
     S_2(s+j)^((2-2g)m) = S_2(s)^((2-2g)m) (2 sin pi s)^(-(2-2g)jm); the
     sign (-1)^(j(j-1)/2 (2-2g) m) is +1 because 2-2g is even, which is
-    the one place a sign could appear, so it is discarded here.  With
-    collapse_sines=False the shifts are left alone (negative-control
-    hook) and p is returned as it is.
+    the one place a sign could appear, so it is discarded here.
     """
-    if not collapse_sines:
-        return p
     out, s2, q = {}, 0, p.sin_exp
     for key, m in p._exp.items():
         if key & 3 == _S2:
@@ -269,10 +266,9 @@ def canonicalize(p: FormalProduct, collapse_sines: bool = True) -> FormalProduct
     return _wrap(out)
 
 
-def quotient(a: FormalProduct, b: FormalProduct,
-             collapse_sines: bool = True) -> FormalProduct:
-    """a / b, canonicalized (with collapse_sines as in canonicalize)."""
-    return canonicalize(_add(a._exp, b._exp, -1), collapse_sines)
+def quotient(a: FormalProduct, b: FormalProduct) -> FormalProduct:
+    """a / b, canonicalized."""
+    return canonicalize(_add(a._exp, b._exp, -1))
 
 
 # -- theorem-level verifiers ---------------------------------------------
@@ -281,28 +277,26 @@ def verify_theorem2(f: LaurentPoly, D: int) -> Verdict:
     """Does zeta_{M(f)}(D-s) = zeta_{M(f)}(s) hold as a formal identity?
 
     Both sides are canonical as built, so the verdict compares their
-    maps.  Also evaluates the coefficient test a(D-k) = -a(k) so callers
-    can confirm the two conditions agree.
+    maps.  By theorem 2 it holds exactly when a(D-k) = -a(k), the
+    coefficient test laurent.has_symmetry(f, D, -1), which is decided
+    independently of this engine.
     """
-    lhs, rhs = reflect_zeta(f, D), from_motive_zeta(f)
-    return Verdict(lhs._exp == rhs._exp, lhs, rhs,
-                   coefficient_condition=has_symmetry(f, D, -1))
+    return Verdict(reflect_zeta(f, D), from_motive_zeta(f))
 
 
 def verify_theorem3(f: LaurentPoly, D: int) -> Verdict:
     """Does zeta_{M(f)}(D-s) = zeta_{M(f)}(s)^-1 (2 sin pi s)^((4-4g)f(1))?
 
     The sine target is 2 f(1) in (2-2g)-units, the sine exponent that
-    reflect_zeta has just put in the lhs; the coefficient test is
-    a(D-k) = a(k).  Both sides are canonical as built.
+    reflect_zeta has just put in the lhs.  Both sides are canonical as
+    built.  By theorem 3 it holds exactly when a(D-k) = a(k).
     """
     lhs = reflect_zeta(f, D)
     rhs = {4 * k + _ZETA: -a for k, a in f.coeffs.items()}
     q = lhs._exp.get(_SIN)
     if q:
         rhs[_SIN] = q
-    return Verdict(lhs._exp == rhs, lhs, _wrap(rhs),
-                   coefficient_condition=has_symmetry(f, D, +1))
+    return Verdict(lhs, _wrap(rhs))
 
 
 def verify_Z_fe(f: LaurentPoly) -> Verdict:
@@ -316,19 +310,18 @@ def verify_Z_fe(f: LaurentPoly) -> Verdict:
         raise ValueError(
             f"f has no reflection symmetry (kind={auto.kind.value}); "
             "the Z functional equation requires one")
-    C, D = auto.C, auto.D
-    lhs = canonicalize(reflect_Z(f, D))
-    rhs = (from_motive_Z(f) * s_motive_factor(f)) ** C
-    return Verdict(lhs._exp == rhs._exp, lhs, rhs)
+    return Verdict(canonicalize(reflect_Z(f, auto.D)),
+                   (from_motive_Z(f) * s_motive_factor(f)) ** auto.C)
 
 
-def derive_base_zeta_fe(collapse_sines: bool = True) -> Verdict:
+def derive_base_zeta_fe() -> Verdict:
     """Re-derive zeta_M(-s) zeta_M(s) = (2 sin pi s)^(4-4g) from the Z axiom.
 
     zeta_M is expanded as Z_M(s+1)/Z_M(s), the two reflected Z factors
     are rewritten by the symmetric base rule, and the product must
-    collapse to exactly two (2-2g)-units of sine.  Disabling the sine
-    collapse must leave a non-empty residual (rewrite incompleteness).
+    collapse to exactly two (2-2g)-units of sine.  The negative control
+    replaces canonicalize by the identity: the derivation must then leave
+    a non-empty residual (rewrite incompleteness).
     """
     # zeta_M(-s) = Z_M(1-s)/Z_M(-s); apply the Z axiom to both:
     #   Z_M(1-s) = Z_M(s) S_2(s) S_2(s+1)        (each one (2-2g)-unit)
@@ -337,9 +330,7 @@ def derive_base_zeta_fe(collapse_sines: bool = True) -> Verdict:
         * FormalProduct(bigz_exp={-1: 1}, s2_exp={1: 1, 2: 1}).inverse()
     # multiply by zeta_M(s) = Z_M(s+1)/Z_M(s)
     product = reflected * FormalProduct(bigz_exp={-1: 1, 0: -1})
-    lhs = canonicalize(product, collapse_sines=collapse_sines)
-    rhs = FormalProduct(sin_exp=2)
-    return Verdict(lhs._exp == rhs._exp, lhs, rhs)
+    return Verdict(canonicalize(product), FormalProduct(sin_exp=2))
 
 
 # -- display -------------------------------------------------------------

@@ -569,17 +569,6 @@ def _raise_first_bad_line(path: str, text: str,
 _SERIES_DEPTH = 60.0 * math.log(2.0)
 
 
-def _exp_neg(ell: np.ndarray, p: float) -> np.ndarray:
-    """exp(-ell p) elementwise, for increasing ell >= 0 and p > 0.
-
-    Where ell p overflows to inf, exp gives 0: the exact value is below
-    the least subnormal there, so 0 is its correct rounding, and that
-    overflow is not reported.
-    """
-    with np.errstate(over="ignore"):
-        return np.exp(ell * -p)
-
-
 def _log_factors(ell: np.ndarray, p: float, q: np.ndarray,
                  mult: np.ndarray) -> Tuple[float, float]:
     """log prod (1 - q)^-mult for q = exp(-ell p), and a bound on its rounding.
@@ -604,19 +593,17 @@ def _sum_roundings(n: int) -> float:
     return 0.5 * (19 + (n // 128).bit_length())
 
 
-def _log_Z_series(s: float, sp: LengthSpectrum, limit: float = math.inf,
-                  q: Optional[np.ndarray] = None
-                  ) -> Tuple[float, float, float]:
+def _log_Z_series(s: float, sp: LengthSpectrum, limit: float,
+                  q: np.ndarray) -> Tuple[float, float, float]:
     """sum_i m_i sum_{k>=1} y_i^k / (k (1 - r_i^k)), with two error bounds.
 
     y = q r, q = exp(-length s) and r = exp(-length).  selberg_Z passes
-    the q that log zeta was summed from; without one, it is formed here.
-    Returns the series, a bound on its truncation and a bound on its
-    rounding.  Pass 1 is one product w q, w = m r / (1 - r) of
-    sp.euler_weights.  Pass k >= 2 sums m y^k / expm1(-k length), with
-    -1/k applied to the sum, over the rows with (k - 1)(s + 1) length <=
-    _SERIES_DEPTH, a prefix of the sorted lengths found by one
-    searchsorted.  A row dropped after K terms leaves at most
+    the q that log zeta was summed from.  Returns the series, a bound on
+    its truncation and a bound on its rounding.  Pass 1 is one product
+    w q, w = m r / (1 - r) of sp.euler_weights.  Pass k >= 2 sums
+    m y^k / expm1(-k length), with -1/k applied to the sum, over the
+    rows with (k - 1)(s + 1) length <= _SERIES_DEPTH, a prefix of the
+    sorted lengths found by one searchsorted.  A row dropped after K terms leaves at most
     m y^(K+1) / ((K+1)(1 - r)(1 - y)), since 1 - r^k >= 1 - r and
     1/k <= 1/(K+1).  The rows dropped together are bounded by one dot,
     sum m y^(K+1), over the r and y of the first of them: they are the
@@ -640,8 +627,6 @@ def _log_Z_series(s: float, sp: LengthSpectrum, limit: float = math.inf,
     """
     ell, mult = sp.lengths, sp.mults
     r, w = sp.euler_weights
-    if q is None:
-        q = _exp_neg(ell, s)
     x = s + 1.0
     y = q * r
     term, scale, yk, n, k = w * q, 1.0, y, ell.size, 1
@@ -733,7 +718,11 @@ def _log_euler_zeta(s: float, sp: LengthSpectrum
     Raises DomainError where a length is so short that N(P)^-s rounds
     to 1, which would make its factor infinite.
     """
-    q = _exp_neg(sp.lengths, s)
+    # where length s overflows to inf, exp gives 0: the exact value is
+    # below the least subnormal there, so 0 is its correct rounding, and
+    # that overflow is not reported
+    with np.errstate(over="ignore"):
+        q = np.exp(sp.lengths * -s)
     # the lengths increase, so the first q is the largest
     if q.size and q[0] == 1.0:
         raise DomainError(

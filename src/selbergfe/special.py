@@ -249,8 +249,7 @@ def _tail(r: int, w: Number, d: int, table, x: float, logx: float, B: int,
     return total, trunc, running, scale_tail
 
 
-def _zeta_r(r: int, w: Number, s: float, d: int, *, N: int = 0,
-            B: int = 0) -> SpecialValue:
+def _zeta_r(r: int, w: Number, s: float, d: int) -> SpecialValue:
     """The order-r Hurwitz zeta sum_n binom(n+r-1, r-1) (n+s)^-w (d = 0)
     or its w-derivative (d = 1): the one Euler-Maclaurin kernel.
 
@@ -258,10 +257,9 @@ def _zeta_r(r: int, w: Number, s: float, d: int, *, N: int = 0,
     whose truncation bound lies below the rounding part of its estimate,
     else the last; a rung is passed over untried outside its domain, or
     where its omitted term exceeds eps of the tail even at its least.
-    Only a test of the truncation bound passes N and B.  Partial sum over
-    n < N with the exact integer weights, times -log(n+s) for the
-    derivative; then the tail sum_j c_j(s) T_j, where T_j is the
-    Euler-Maclaurin tail of zeta_H^(d)(w-j, s) at x = N+s:
+    Partial sum over n < N with the exact integer weights, times
+    -log(n+s) for the derivative; then the tail sum_j c_j(s) T_j, where
+    T_j is the Euler-Maclaurin tail of zeta_H^(d)(w-j, s) at x = N+s:
 
         T_j = x^(1-w+j) [A_j]                 (d = 0)
         T_j = x^(1-w+j) [A'_j - log x A_j]    (d = 1)
@@ -284,15 +282,14 @@ def _zeta_r(r: int, w: Number, s: float, d: int, *, N: int = 0,
         if d == 0 and integral and wc.real <= 0:
             v, err = _zeta_r_exact(r, -int(wc.real), s)
             return SpecialValue(complex(v) if isinstance(w, complex) else v, err)
-        rungs = ((N, B),) if N else _RUNGS
-        top = rungs[-1][1]
+        top = _RUNGS[-1][1]
         if wc.real <= r - 2 * top - 2:
             raise DomainError(f"Euler-Maclaurin with {top} Bernoulli terms needs "
                               f"Re(w) > {r - 2 * top - 2} at order {r}, got w={w}")
         mw = -w
         cs, cabs = _simplex_pair(r, s)
         sum_p = 0.0
-        for N, B in rungs:
+        for N, B in _RUNGS:
             x = N + s
             # untried outside its domain, or where its omitted term exceeds
             # eps of the tail at its least, |b_{B+1}| (|Im w| / x)^(2B+2):
@@ -668,8 +665,8 @@ def check_reduction() -> List[CheckRow]:
     return rows
 
 
-def double_sum_oracle(w: float, s: float, nmax: int = 4000):
-    """Brute-force order-2 sum over n_1 + n_2 <= nmax plus an integral tail.
+def double_sum_oracle(w: float, s: float):
+    """Brute-force order-2 sum over n_1 + n_2 <= 4000 plus an integral tail.
 
     Returns (estimate, bound): the truncated sum plus the midpoint of
     the two bracketing tail integrals, and half their gap plus one term
@@ -677,6 +674,7 @@ def double_sum_oracle(w: float, s: float, nmax: int = 4000):
     """
     if w <= 2:
         raise DomainError("double-sum oracle needs w > 2 for a convergent tail")
+    nmax = 4000
     total = 0.0
     for n in range(nmax + 1):
         total += (n + 1) * (n + s) ** (-w)

@@ -32,6 +32,19 @@ def test_motive_analyze_none(capsys):
     assert "kind = none" in out
 
 
+def test_motive_analyze_zero(capsys):
+    """f = 0 gives zeta_{M(0)} = Z_{M(0)} = 1: every D holds, as fe verify
+    reports at any --d."""
+    code, out, _ = run(capsys, "motive", "analyze", "--poly", "0=0")
+    assert code == 0
+    assert out == ("poly = 0\nkind = zero\nf(1) = 0\n"
+                   "functional equation: holds at every D "
+                   "(zeta_M(f) = Z_M(f) = 1 for f = 0)\n")
+    for d in ("-2", "3"):
+        code, out, _ = run(capsys, "fe", "verify", "--poly", "0=0", "--d", d)
+        assert code == 0 and "equation holds" in out
+
+
 def test_motive_bad_poly_usage_error(capsys):
     code, _, err = run(capsys, "motive", "analyze", "--poly", "garbage")
     assert code == 2

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selbergfe import formal
 from selbergfe.formal import (EMPTY, FormalProduct, Verdict, _add,
                               canonicalize, derive_base_zeta_fe,
                               format_product, from_motive_Z,
@@ -57,8 +58,7 @@ def _assert_no_zero_stored(p):
 @settings(max_examples=200)
 def test_no_zero_exponent_stored(a, b, e):
     for p in (a * b, a * a.inverse(), a ** e, quotient(a, b), quotient(a, a),
-              quotient(a, b, collapse_sines=False), canonicalize(a * b),
-              canonicalize(a, collapse_sines=False)):
+              a * b.inverse(), canonicalize(a * b)):
         _assert_no_zero_stored(p)
 
 
@@ -213,24 +213,24 @@ def test_reflect_zeta_involution(f, D):
 
 def test_theorem2_odd_powers_hold():
     v = verify_theorem2(binom_power(5), 5)
-    assert v.holds and v.coefficient_condition and v.consistent
+    assert v.holds and has_symmetry(binom_power(5), 5, -1)
     assert v.residual.is_empty()
 
 
 def test_theorem2_even_power_fails():
     v = verify_theorem2(binom_power(2), 2)
-    assert not v.holds and v.consistent
+    assert not v.holds and not has_symmetry(binom_power(2), 2, -1)
     assert verify_theorem3(binom_power(2), 2).holds
 
 
 def test_theorem2_wrong_D_fails():
-    v = verify_theorem2(LaurentPoly({1: 1, 0: -1}), 2)
-    assert not v.holds and v.consistent
+    f = LaurentPoly({1: 1, 0: -1})
+    assert not verify_theorem2(f, 2).holds and not has_symmetry(f, 2, -1)
 
 
 def test_theorem3_r0_sine_factor():
     v = verify_theorem3(LaurentPoly({0: 1}), 0)
-    assert v.holds and v.consistent
+    assert v.holds and has_symmetry(LaurentPoly({0: 1}), 0, +1)
     # the even-type equation carries (2 sin pi s)^(4-4g): 2 units of (2-2g)
     assert v.rhs_canonical.sin_exp == 2
 
@@ -242,8 +242,8 @@ def test_theorem3_even_power_no_sine():
 
 
 def test_theorem3_odd_motive_fails():
-    v = verify_theorem3(LaurentPoly({1: 1, 0: -1}), 1)
-    assert not v.holds and v.consistent
+    f = LaurentPoly({1: 1, 0: -1})
+    assert not verify_theorem3(f, 1).holds and not has_symmetry(f, 1, +1)
 
 
 D_TAKERS = [reflect_zeta, reflect_Z, verify_theorem2, verify_theorem3,
@@ -271,11 +271,13 @@ def test_verdict_is_slotted():
     v = verify_theorem2(binom_power(3), 3)
     assert not hasattr(v, "__dict__")
     assert [fl.name for fl in dataclasses.fields(v)] == [
-        "holds", "lhs_canonical", "rhs_canonical", "coefficient_condition"]
+        "lhs_canonical", "rhs_canonical", "holds"]
     # built when read, not stored
     assert v.residual == quotient(v.lhs_canonical, v.rhs_canonical)
     assert v == verify_theorem2(binom_power(3), 3)
-    assert v.consistent is True
+    # the constructor takes the two sides and sets holds itself
+    assert v.holds is True and Verdict(v.lhs_canonical, v.rhs_canonical) == v
+    assert Verdict(v.lhs_canonical, EMPTY).holds is False
 
 
 def test_theorem_equivalence_sampled():
@@ -283,10 +285,8 @@ def test_theorem_equivalence_sampled():
     for coeffs in itertools.product((-1, 0, 1), repeat=5):
         f = LaurentPoly(dict(zip(range(-2, 3), coeffs)))
         for D in range(-4, 5):
-            v2 = verify_theorem2(f, D)
-            v3 = verify_theorem3(f, D)
-            assert v2.consistent, (f, D)
-            assert v3.consistent, (f, D)
+            assert verify_theorem2(f, D).holds == has_symmetry(f, D, -1), (f, D)
+            assert verify_theorem3(f, D).holds == has_symmetry(f, D, +1), (f, D)
 
 
 @given(canonical_products, canonical_products, st.integers(-3, 3))
@@ -300,30 +300,32 @@ def test_canonical_products_closed_under_group_law(a, b, e):
 
 
 def _engine_verdicts(f, D):
-    """The three verdicts composed from the public engine: canonicalize
-    each side, then the canonicalized quotient."""
-    def verdict(lhs, rhs, condition=None):
-        lhs, rhs = canonicalize(lhs), canonicalize(rhs)
-        return Verdict(quotient(lhs, rhs).is_empty(), lhs, rhs, condition)
+    """The three verdicts, each with its composition from the public
+    engine (each side canonicalized) and the condition it must agree
+    with: the coefficient test on the zeta side; on the Z side, where f
+    has a reflection symmetry, the equation always holds."""
+    def verdict(lhs, rhs):
+        return Verdict(canonicalize(lhs), canonicalize(rhs))
 
     zeta = from_motive_zeta(f)
-    yield verify_theorem2(f, D), verdict(reflect_zeta(f, D), zeta,
-                                         has_symmetry(f, D, -1))
-    yield verify_theorem3(f, D), verdict(
-        reflect_zeta(f, D),
-        zeta.inverse() * FormalProduct(sin_exp=2 * eval_at_one(f)),
-        has_symmetry(f, D, +1))
+    yield (verify_theorem2(f, D), verdict(reflect_zeta(f, D), zeta),
+           has_symmetry(f, D, -1))
+    sine = FormalProduct(sin_exp=2 * eval_at_one(f))
+    yield (verify_theorem3(f, D), verdict(reflect_zeta(f, D),
+                                          zeta.inverse() * sine),
+           has_symmetry(f, D, +1))
     auto = detect_automorphy(f)
     if D == auto.D and auto.kind in (SymmetryKind.ODD, SymmetryKind.EVEN):
         yield verify_Z_fe(f), verdict(
             reflect_Z(f, auto.D),
-            (from_motive_Z(f) * s_motive_factor(f)) ** auto.C)
+            (from_motive_Z(f) * s_motive_factor(f)) ** auto.C), True
 
 
 def test_verifiers_equal_engine_composition():
     """Over the -3..3 window (coefficients -1..1) and (x-1)^r, x (x-1)^r
     for r = 1..8, at every D in -8..8: each verdict equals the generic
-    canonicalize-then-quotient composition, and its products are canonical."""
+    canonicalize-then-quotient composition, holds exactly when its
+    condition does, and its products are canonical."""
     window = (LaurentPoly(dict(zip(range(-3, 4), c)))
               for c in itertools.product((-1, 0, 1), repeat=7))
     binomials = [g for r in range(1, 9)
@@ -331,8 +333,9 @@ def test_verifiers_equal_engine_composition():
     checked = 0
     for f in itertools.chain(window, binomials):
         for D in range(-8, 9):
-            for got, want in _engine_verdicts(f, D):
+            for got, want, condition in _engine_verdicts(f, D):
                 assert got == want, (f, D)
+                assert got.holds == condition, (f, D)
                 # equality reads no residual, so it is checked on its own
                 res = got.residual
                 assert res == quotient(want.lhs_canonical,
@@ -389,6 +392,22 @@ def test_verify_Z_fe_binom_powers(r):
     assert verify_Z_fe(binom_power(r)).holds
 
 
+def _wrong_gamma_factor(p):
+    """A factor that differs from p: its square, or one sine if p is empty."""
+    return p ** 2 if not p.is_empty() else FormalProduct(sin_exp=1)
+
+
+@pytest.mark.parametrize("f", [LaurentPoly({1: 1, 0: -1}), LaurentPoly({0: 1}),
+                               binom_power(2)], ids=["x-1", "1", "(x-1)^2"])
+def test_verify_Z_fe_refuses_a_wrong_gamma_factor(monkeypatch, f):
+    """A Z-side rhs built from a wrong S_{M(f)} does not hold."""
+    right = s_motive_factor
+    monkeypatch.setattr(formal, "s_motive_factor",
+                        lambda g: _wrong_gamma_factor(right(g)))
+    assert formal.s_motive_factor(f) != right(f)
+    assert not verify_Z_fe(f).holds
+
+
 def test_verify_Z_fe_rejects_asymmetric():
     with pytest.raises(ValueError):
         verify_Z_fe(LaurentPoly({2: 1, 1: 2}))
@@ -405,12 +424,14 @@ def test_derive_base():
     assert v.lhs_canonical == FormalProduct(sin_exp=2)
 
 
-def test_derive_base_negative_control():
-    v = derive_base_zeta_fe(collapse_sines=False)
+def test_derive_base_negative_control(monkeypatch):
+    # with the ladder rewrite switched off, the shifted S_2 factors stay
+    monkeypatch.setattr(formal, "canonicalize", lambda p: p)
+    v = derive_base_zeta_fe()
     assert not v.holds
     assert not v.residual.is_empty()
-    assert v.residual == quotient(v.lhs_canonical, v.rhs_canonical,
-                                  collapse_sines=False)
+    assert v.residual == v.lhs_canonical * v.rhs_canonical.inverse()
+    assert not v.lhs_canonical.is_canonical()
 
 
 def test_derive_base_genus_symbolic():

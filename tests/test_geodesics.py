@@ -643,6 +643,13 @@ def _mp_log_Z_parts(s, entries):
     return mpmath.fsum(parts[0]), mpmath.fsum(parts[1])
 
 
+def _log_Z_series(s, sp):
+    """The series of selberg_Z at s with no underflow limit, from the q
+    that selberg_Z passes it."""
+    return geodesics._log_Z_series(s, sp, math.inf,
+                                   geodesics._log_euler_zeta(s, sp)[2])
+
+
 @pytest.mark.parametrize("s", [1.0011, 1.2, 2.21, 3.0, 5.0, 8.0, 30.0])
 def test_selberg_Z_vs_mpmath_L7(spectrum7, s):
     """Z on the 3262-row L = 7 spectrum, from next to the domain edge to
@@ -655,7 +662,7 @@ def test_selberg_Z_vs_mpmath_L7(spectrum7, s):
         ref = mpmath.exp(log_n0 + log_rest)
     sv = selberg_Z(s, spectrum7)
     assert float(abs(sv.value - ref)) <= sv.abs_err_estimate < 1e-13 * sv.value
-    series, trunc, rounding = geodesics._log_Z_series(s, spectrum7)
+    series, trunc, rounding = _log_Z_series(s, spectrum7)
     assert float(abs(series + log_rest)) <= trunc + rounding
 
 
@@ -666,7 +673,7 @@ def test_selberg_Z_truncation_bound(ell, s):
     truncation part of the estimate bounds the exact tail beyond those
     K terms, and by no more than 2x."""
     sp = _spectrum([(ell, 2)], horizon=ell)
-    _, trunc, _ = geodesics._log_Z_series(s, sp)
+    _, trunc, _ = _log_Z_series(s, sp)
     K = math.floor(60 * math.log(2) / ((s + 1) * ell)) + 1
     with mpmath.workdps(30):
         y, r = mpmath.exp(-ell * (s + 1)), mpmath.exp(-ell)
@@ -683,7 +690,7 @@ def test_selberg_Z_truncation_bound_several_rows(s):
     4x of them, the 1 / (1 - e^-0.3) that the bound of the shortest row
     takes for each 1 / (1 - r^k)."""
     rows = [(0.3, 2), (1.0, 4), (BOLZA_LENGTH, 6), (7.0, 2), (12.0, 8)]
-    _, trunc, _ = geodesics._log_Z_series(s, _spectrum(rows))
+    _, trunc, _ = _log_Z_series(s, _spectrum(rows))
     with mpmath.workdps(30):
         tail = 0
         for ell, m in rows:
