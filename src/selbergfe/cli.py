@@ -2,7 +2,9 @@
 
 Exit codes: 0 = success / identity verified, 1 = verification or
 identity check failed, 2 = usage, domain or numeric error (overflow,
-an enumeration that cannot go on), reported on one line.  All numeric output
+an enumeration that cannot go on), reported on one line; a warning is
+one `warning:` line on stderr too, whatever the process's warning
+filters, and the filters are left as they were.  All numeric output
 uses 17 significant decimal digits; tabular output is CSV, to stdout
 or to --out.  An option is accepted only where it is read: a --genus,
 --r or --w that the chosen special function or identity ignores is a
@@ -18,6 +20,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 from typing import List, Optional, Sequence
 
 from . import formal, laurent, special
@@ -48,6 +51,11 @@ class _Output:
 
 # -- subcommand implementations ------------------------------------------
 
+# f = 0 has every reflection symmetry, and its zeta and Z are 1
+_ZERO_FE = ("functional equation: holds at every D "
+            "(zeta_M(f) = Z_M(f) = 1 for f = 0)")
+
+
 def _cmd_motive_analyze(args, out: _Output) -> int:
     f = laurent.parse_poly(args.poly)
     auto = laurent.detect_automorphy(f)
@@ -68,8 +76,7 @@ def _cmd_motive_analyze(args, out: _Output) -> int:
         out.write(f"Z functional equation: Z_M(f)({auto.D + 1}-s)"
                   f" = Z_M(f)(s)^{auto.C} S_M(f)(s)^{auto.C}")
     elif auto.kind is SymmetryKind.ZERO:
-        out.write("functional equation: holds at every D "
-                  "(zeta_M(f) = Z_M(f) = 1 for f = 0)")
+        out.write(_ZERO_FE)
     else:
         out.write("functional equation: none (no reflection symmetry)")
     return 0
@@ -78,22 +85,20 @@ def _cmd_motive_analyze(args, out: _Output) -> int:
 def _cmd_fe_verify(args, out: _Output) -> int:
     f = laurent.parse_poly(args.poly)
     auto = laurent.detect_automorphy(f)
+    zero = auto.kind is SymmetryKind.ZERO
     if args.d is None:
-        if auto.kind not in (SymmetryKind.ODD, SymmetryKind.EVEN):
+        if auto.kind is SymmetryKind.NONE:
             out.write(f"kind = {auto.kind.value}; no (C, D) detected")
             out.write("verdict: FAIL")
             return 1
-        out.write(f"detected C = {auto.C:+d}, D = {auto.D}")
-        D = auto.D
-    else:
-        D = args.d
+        out.write(_ZERO_FE if zero else f"detected C = {auto.C:+d}, D = {auto.D}")
     if args.kind == "Z":
-        if auto.kind not in (SymmetryKind.ODD, SymmetryKind.EVEN):
+        if auto.kind is SymmetryKind.NONE:
             out.write(f"kind = {auto.kind.value}; Z functional equation "
                       "requires a reflection symmetry")
             out.write("verdict: FAIL")
             return 1
-        if args.d is not None and args.d != auto.D:
+        if not zero and args.d not in (None, auto.D):
             out.write(f"supplied D = {args.d} differs from forced D = {auto.D}")
             out.write("verdict: FAIL")
             return 1
@@ -103,6 +108,10 @@ def _cmd_fe_verify(args, out: _Output) -> int:
         out.write(f"residual = {formal.format_product(v.residual)}")
         out.write(f"verdict: {'PASS' if v.holds else 'FAIL'}")
         return 0 if v.holds else 1
+    if args.d is None and zero:
+        out.write("verdict: PASS")
+        return 0
+    D = auto.D if args.d is None else args.d
     v2 = formal.verify_theorem2(f, D)
     v3 = formal.verify_theorem3(f, D)
     if v2.holds:
@@ -349,15 +358,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        out = _Output(args.out)
-        code = args.func(args, out)
-        out.flush()
-        return code
-    except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:
-        # a domain, usage or numeric failure: one line, never a traceback
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    error = None
+    # each warning becomes one line, like an error: no source path or line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            out = _Output(args.out)
+            code = args.func(args, out)
+            out.flush()
+        except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:
+            # a domain, usage or numeric failure: one line, never a traceback
+            error, code = exc, 2
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

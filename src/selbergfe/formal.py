@@ -303,10 +303,13 @@ def verify_Z_fe(f: LaurentPoly) -> Verdict:
     """Z_{M(f)}(D+1-s) = Z_{M(f)}(s)^C S_{M(f)}(s)^C with detected (C, D).
 
     Only the reflection carries S_2(s+j) keys; the rhs is canonical as
-    built, a product and power of canonical factors.
+    built, a product and power of canonical factors.  For f = 0 both
+    sides are 1 at every D: Z_{M(0)} = S_{M(0)} = 1.
     """
     auto = detect_automorphy(f)
-    if auto.kind not in (SymmetryKind.ODD, SymmetryKind.EVEN):
+    if auto.kind is SymmetryKind.ZERO:
+        return Verdict(EMPTY, EMPTY)
+    if auto.kind is SymmetryKind.NONE:
         raise ValueError(
             f"f has no reflection symmetry (kind={auto.kind.value}); "
             "the Z functional equation requires one")

@@ -14,11 +14,11 @@ nonpositive integer w the value is the exact Bernoulli polynomial one.
 hurwitz_zeta and hurwitz_zeta_dw are the kernel at r = 1, and the log of
 the order-r gamma function is its w-derivative at w = 0.  The composites
 (gamma_r, gamma_M, the sines, s_M and the Selberg functional-equation
-factor) are each a sum in log space with the kernel's estimates carried
-through, and one exp (_from_log); the double sine is a quotient of double
-gammas times its shift ladder in closed form.  The Selberg factor is a
-closed form in the Clausen function, whose series shares only the
-Bernoulli table with the kernel, and cross-checks the sine-product form.
+factor) are each a sum in log space with the estimates of its parts
+carried through, and one exp (_from_log).  S_2, s_M and the Selberg
+factor call no kernel: they are closed forms in the Clausen function,
+whose series (_clausen) shares only the Bernoulli table with the kernel.
+The fe-integral check pairs the Selberg factor with the kernel's Gamma_M.
 """
 from __future__ import annotations
 
@@ -422,23 +422,81 @@ def gamma_r(r: int, s: float) -> SpecialValue:
     return _from_log(lg.value, lg.abs_err_estimate, f"gamma_r({r}, {s!r})")
 
 
+# Clausen series terms summed by _clausen: at |theta| <= pi the tail
+# after them is below 2e-20
+_CLAUSEN_TERMS = 27
+
+
+@lru_cache(maxsize=None)
+def _clausen_weights() -> Tuple[Tuple[float, ...], float]:
+    """|B_2n| / (2n (2n+1)!) for n = _CLAUSEN_TERMS..1, highest first for
+    Horner, each from the Euler-Maclaurin weight B_2n / (2n)! and rounded
+    once; and 3/2 of the first omitted term at |theta| = pi, a bound on
+    the tail at every |theta| <= pi (see _clausen)."""
+    *head, omitted = (abs(b) / (2 * n * (2 * n + 1))
+                      for n, b in enumerate(_em_weights(_CLAUSEN_TERMS), 1))
+    return (tuple(map(float, reversed(head))),
+            1.5 * float(omitted) * math.pi ** (2 * _CLAUSEN_TERMS + 2))
+
+
+def _clausen(u: float, log_sine: float) -> Tuple[float, float]:
+    """Cl_2(2 pi u) / (2 pi) for 0 < |u| <= 1/2, and a bound on its error,
+    given L = log_sine = log|2 sin pi u|.  With theta = 2 pi u in
+    [-pi, pi] and Cl_2 the Clausen function,
+
+        Cl_2(theta) / theta = C = 1 - log|theta| + P,
+        P = sum_{n>=1} |B_2n| theta^2n / (2n (2n+1)!),
+
+    and the value is u C.  Each term of P is at most (theta / 2 pi)^2 <=
+    1/4 of the one before, as |B_2n| / (2n)! = 2 zeta(2n) / (2 pi)^2n:
+    the tail past _CLAUSEN_TERMS terms is at most 4/3 of the first omitted
+    one, and a term n carries at most (1/2 + 3n/2) eps of rounding, so P
+    carries less than 4 eps P.  The bound adds
+
+        |u| (tail + eps (|L| + |C|))
+                                the truncation, and theta's rounding by
+                                eps of itself, as theta C' = -L - C;
+        eps |u| (1 + 2|log theta| + 4 P + |C|)
+                                the log, P, the two sums, the product.
+    """
+    theta = 2.0 * math.pi * u
+    log_theta = math.log(abs(theta))
+    t = theta * theta
+    weights, tail = _clausen_weights()
+    p = 0.0
+    for w in weights:
+        p = p * t + w
+    p *= t
+    c = 1.0 - log_theta + p
+    return u * c, abs(u) * (tail + _EPS * (abs(log_sine) + 2 * abs(c) + 1
+                                           + 2 * abs(log_theta) + 4 * p))
+
+
 def _log_s2(s: float) -> Tuple[float, int, float]:
     """log |S_2(s)|, the sign of S_2(s), and a bound on the log's error.
 
-    The shift ladder S_2(t+1) = S_2(t) / (2 sin pi t) in closed form: with
-    k the integer nearest s, d = s - k in (-1/2, 1/2] (exact), n = k - 1
-    and b = s - n = 1 + d in (1/2, 3/2],
+    S_2 solves (log S_2)'(t) = pi (1-t) cot pi t with S_2(1) = 1.  With k
+    the integer nearest s, d = s - k in (-1/2, 1/2] (exact), n = k - 1 and
+    L = log|2 sin pi d|, integration by parts on the base window b = 1 + d
+    (Cl_2'(theta) = -log|2 sin(theta/2)|) gives log S_2(b) = -d L -
+    Cl_2(2 pi d) / (2 pi), and the shift ladder S_2(t+1) = S_2(t) /
+    (2 sin pi t) adds -n L, with n + d = s - 1:
 
-        S_2(s) = S_2(b) (-1)^(n(n-1)/2) (2 sin pi b)^-n,
-        S_2(b) = Gamma_2(2 - b) / Gamma_2(b),   |2 sin pi b| = |2 sin pi d|.
+        log |S_2(s)| = -(s - 1) L - Cl_2(2 pi d) / (2 pi),
 
-    The bound adds the kernel's estimates of the two log Gamma_2; 3 eps
-    for rounding b (exact for |s| >= 1) and 2 - b, 3/4 eps each, as
-    |(log Gamma_2)'(x)| = |(1-x) psi(x) + x - 1/2| <= 1 on [1/2, 3/2];
-    per ladder step, 2 eps for the sine (pi d is off by eps |pi d|, which
-    moves the sine by eps |pi d cot pi d| <= eps of itself, and sin adds
-    an ulp) and 2 eps |log| for the log and the product; and the
-    rounding of the sum.
+    and the sign is (-1)^(n(n-1)/2) times that of (sin pi b)^n, as
+    S_2(b) > 0.  S_2(1) = 1 is returned as it is.  With m = s - 1, the
+    bound on the log's error adds
+
+        eps |m| (2 + 2|L|)      the sine and its log, taken once and
+                                scaled by |m|: pi d is off by eps |pi d|,
+                                which moves the sine by eps |pi d cot pi d|
+                                <= eps of itself, and sin adds an ulp, so
+                                L is off by 2 eps and its rounding adds
+                                eps |L|; then the rounding of m (exact for
+                                1/2 <= s <= 2) and of the product;
+        |d| (tail + eps (...))  the Clausen part, as bounded by _clausen;
+        eps |log |S_2(s)||      the final sum.
     """
     if not math.isfinite(s):
         raise DomainError(f"S_2 requires a finite s, got s={s}")
@@ -448,17 +506,16 @@ def _log_s2(s: float) -> Tuple[float, int, float]:
         k, d = k - 1, 0.5
     if abs(d) < 1e-12 and k != 1:
         raise PoleError(f"S_2 evaluation hits a sine zero/pole at integer s={s}")
+    if not d:
+        return 0.0, 1, 0.0
     n = k - 1
-    b = s - n
-    lg, lg_b = log_gamma_r(2, 2 - b), log_gamma_r(2, b)
-    log_v = lg.value - lg_b.value
-    err = lg.abs_err_estimate + lg_b.abs_err_estimate + _EPS * (3 + abs(log_v))
-    if not n:
-        return log_v, 1, err
+    m = s - 1.0
     log_sine = math.log(abs(2.0 * math.sin(math.pi * d)))
+    cl, cl_err = _clausen(d, log_sine)
+    log_v = -m * log_sine - cl
     flips = n * (n - 1) // 2 + (n if d > 0 else 0)     # sin pi b < 0 iff d > 0
-    return (log_v - n * log_sine, -1 if flips % 2 else 1,
-            err + abs(n) * _EPS * (2 + 2 * abs(log_sine)))
+    return (log_v, -1 if flips % 2 else 1,
+            _EPS * (abs(m) * (2 + 2 * abs(log_sine)) + abs(log_v)) + cl_err)
 
 
 def sine_r(r: int, s: float) -> SpecialValue:
@@ -521,23 +578,6 @@ def s_M(s: float, params: SurfaceParams) -> SpecialValue:
                      f"s_M({s!r}) at genus {params.genus}")
 
 
-# Clausen series terms summed by selberg_fe_factor: at |theta| <= pi the
-# tail after them is below 2e-20
-_CLAUSEN_TERMS = 27
-
-
-@lru_cache(maxsize=None)
-def _clausen_weights() -> Tuple[Tuple[float, ...], float]:
-    """|B_2n| / (2n (2n+1)!) for n = _CLAUSEN_TERMS..1, highest first for
-    Horner, each from the Euler-Maclaurin weight B_2n / (2n)! and rounded
-    once; and 3/2 of the first omitted term at |theta| = pi, a bound on
-    the tail at every |theta| <= pi (see selberg_fe_factor)."""
-    *head, omitted = (abs(b) / (2 * n * (2 * n + 1))
-                      for n, b in enumerate(_em_weights(_CLAUSEN_TERMS), 1))
-    return (tuple(map(float, reversed(head))),
-            1.5 * float(omitted) * math.pi ** (2 * _CLAUSEN_TERMS + 2))
-
-
 def selberg_fe_factor(s: float, params: SurfaceParams) -> SpecialValue:
     """exp((4-4g) * integral_0^{s-1/2} pi t tan(pi t) dt) for s in (0, 1),
     in closed form: with h = s - 1/2 and Cl_2 the Clausen function,
@@ -546,25 +586,12 @@ def selberg_fe_factor(s: float, params: SurfaceParams) -> SpecialValue:
 
     as Cl_2'(theta) = -log|2 sin(theta/2)|.  With u = s, or s - 1 (exact,
     Sterbenz) for s > 1/2, sin pi s = sin pi|u| and Cl_2(2 pi s) =
-    Cl_2(theta) at theta = 2 pi u in [-pi, pi], where
-
-        Cl_2(theta) / theta = 1 - log|theta| + P,
-        P = sum_{n>=1} |B_2n| theta^2n / (2n (2n+1)!).
-
-    Each term of P is at most (theta / 2 pi)^2 <= 1/4 of the one before,
-    as |B_2n| / (2n)! = 2 zeta(2n) / (2 pi)^2n: the tail past
-    _CLAUSEN_TERMS terms is at most 4/3 of the first omitted one, and a
-    term n carries at most (1/2 + 3n/2) eps of rounding, so P carries
-    less than 4 eps P.  With L = log(2 sin pi|u|) and C = Cl_2(theta) /
-    theta, the bound on the integral's error adds
+    Cl_2(2 pi u), which _clausen sums at 2 pi u in [-pi, pi].  With
+    L = log(2 sin pi|u|), the bound on the integral's error adds
 
         eps |h| (2 + 2|L|)      rounding h (exact for s >= 1/4), the sine
                                 and its log (as in _log_s2), the product;
-        |u| (tail + eps (|L| + |C|))
-                                the truncation, and theta's rounding by
-                                eps of itself, as theta C' = -L - C;
-        eps |u| (1 + 2|log theta| + 4 P + |C|)
-                                the log, P, the two sums, the product;
+        |u| (tail + eps (...))  the Clausen part, as bounded by _clausen;
         eps |integral|          the difference.
 
     Raises DomainError where the value is not a normal float, as it is
@@ -575,19 +602,9 @@ def selberg_fe_factor(s: float, params: SurfaceParams) -> SpecialValue:
     u = s if s <= 0.5 else s - 1.0
     h = s - 0.5
     log_sine = math.log(2.0 * math.sin(math.pi * abs(u)))
-    theta = 2.0 * math.pi * u
-    log_theta = math.log(abs(theta))
-    t = theta * theta
-    weights, tail = _clausen_weights()
-    p = 0.0
-    for w in weights:
-        p = p * t + w
-    p *= t
-    c = 1.0 - log_theta + p
-    integral = -h * log_sine - u * c
-    err = (_EPS * (abs(h) * (2 + 2 * abs(log_sine)) + abs(integral))
-           + abs(u) * (tail + _EPS * (abs(log_sine) + 2 * abs(c) + 1
-                                      + 2 * abs(log_theta) + 4 * p)))
+    cl, cl_err = _clausen(u, log_sine)
+    integral = -h * log_sine - cl
+    err = _EPS * (abs(h) * (2 + 2 * abs(log_sine)) + abs(integral)) + cl_err
     e = 4 - 4 * params.genus
     return _from_log(e * integral, abs(e) * err,
                      f"selberg_fe_factor({s!r}) at genus {params.genus}")
@@ -642,14 +659,16 @@ def check_ode() -> List[CheckRow]:
 
 
 def check_fe_integral(genus: int) -> List[CheckRow]:
-    """Closed-form factor vs (S_2(s) S_2(s+1))^(2-2g) on a 17-point grid."""
+    """Closed-form factor vs the kernel's Gamma_M(s) / Gamma_M(1-s), which
+    is (S_2(s) S_2(s+1))^(2-2g), on a 17-point grid.  Not s_M: on (0, 1)
+    that is the factor's own Clausen formula."""
     params = SurfaceParams(genus)
     rows = []
     for i in range(17):
         s = 0.1 + 0.8 * (i + 0.5) / 17
         lhs = selberg_fe_factor(s, params).value
-        rhs = s_M(s, params).value
-        rows.append(CheckRow("fe-factor = (S2(s)S2(s+1))^(2-2g)", s, lhs, rhs,
+        rhs = gamma_M(s, params).value / gamma_M(1 - s, params).value
+        rows.append(CheckRow("fe-factor = GammaM(s)/GammaM(1-s)", s, lhs, rhs,
                              abs(lhs / rhs - 1), 1e-9))
     return rows
 

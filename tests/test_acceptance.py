@@ -116,7 +116,7 @@ def test_criterion_05_fe_integral_identity():
         rows = check_fe_integral(genus)
         ok = ok and len(rows) == 17
         ok = ok and all(abs(r.lhs / r.rhs - 1) < 1e-9 for r in rows)
-    _report(5, "integral factor vs (S2(s)S2(s+1))^(2-2g), 1e-9", ok)
+    _report(5, "integral factor vs GammaM(s)/GammaM(1-s), 1e-9", ok)
 
 
 def test_criterion_06_double_sine_ode_and_ladders():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import pytest
 
@@ -43,6 +44,24 @@ def test_motive_analyze_zero(capsys):
     for d in ("-2", "3"):
         code, out, _ = run(capsys, "fe", "verify", "--poly", "0=0", "--d", d)
         assert code == 0 and "equation holds" in out
+
+
+def test_fe_verify_zero_holds_at_every_d(capsys):
+    """f = 0 with no --d: every D holds, PASS, exit 0."""
+    code, out, err = run(capsys, "fe", "verify", "--poly", "0=0")
+    assert (code, err) == (0, "")
+    assert out == ("functional equation: holds at every D "
+                   "(zeta_M(f) = Z_M(f) = 1 for f = 0)\nverdict: PASS\n")
+
+
+@pytest.mark.parametrize("d", [(), ("--d", "3")])
+def test_fe_verify_zero_kind_Z(capsys, d):
+    """f = 0 on the Z side: both sides and the residual are 1, at any D."""
+    code, out, err = run(capsys, "fe", "verify", "--poly", "0=0", *d,
+                         "--kind", "Z")
+    assert (code, err) == (0, "")
+    assert out.endswith("lhs  = 1\nrhs  = 1\nresidual = 1\nverdict: PASS\n")
+    assert ("holds at every D" in out) == (not d)
 
 
 def test_motive_bad_poly_usage_error(capsys):
@@ -275,13 +294,31 @@ def test_spectrum_zeta_pgt_pipeline(capsys, tmp_path):
     assert code == 0
 
     out_csv = str(tmp_path / "pgt.csv")
-    with pytest.warns(UserWarning, match="completeness horizon"):
-        code, _, _ = run(capsys, "--out", out_csv, "pgt", "--spectrum", spath,
+    code, out, err = run(capsys, "--out", out_csv, "pgt", "--spectrum", spath,
                          "--xmax", "50", "--points", "5")
-    assert code == 0
+    assert (code, out) == (0, "")
+    # the warning is one line, with no source path or source line
+    assert err.startswith("warning: ") and err.count("\n") == 1
+    assert "completeness horizon" in err and "cli.py" not in err
     lines = (tmp_path / "pgt.csv").read_text().strip().splitlines()
     assert lines[0] == "x,count,x_over_logx,ratio"
     assert len(lines) == 6
+
+
+def test_warning_then_error_are_one_line_each(capsys, monkeypatch):
+    """A warning and then an error in one call: a `warning:` line before
+    the `error:` line, exit 2, and the process's warning filters as they
+    were."""
+    def warn_then_fail():
+        warnings.warn("first", UserWarning)
+        raise ValueError("second")
+
+    filters = list(warnings.filters)
+    monkeypatch.setattr(cli.formal, "derive_base_zeta_fe", warn_then_fail)
+    code, out, err = run(capsys, "fe", "derive-base")
+    assert (code, out) == (2, "")
+    assert err == "warning: first\nerror: second\n"
+    assert warnings.filters == filters
 
 
 def test_zeta_eval_domain_error(capsys, tmp_path):
@@ -305,8 +342,8 @@ def test_zeta_eval_non_finite_s_exit_2(capsys, tmp_path, fn, s):
 
 @pytest.mark.parametrize("argv", [("--s", "2"), ("--s", "2", "--fn", "Z"),
                                   ("--s", "4", "--motive", "0=-1,1=1")])
-def test_zeta_eval_length_too_short_exit_2(capsys, tmp_path, recwarn, argv):
-    """exp(-1e-300 s) rounds to 1: one error line, no numpy warning."""
+def test_zeta_eval_length_too_short_exit_2(capsys, tmp_path, argv):
+    """exp(-1e-300 s) rounds to 1: one error line, no numpy warning line."""
     spath = tmp_path / "sp.txt"
     spath.write_text("# genus=2\n# horizon=0\n1e-300 2\n3.0 2\n")
     code, out, err = run(capsys, "zeta", "eval", "--spectrum", str(spath),
@@ -314,7 +351,6 @@ def test_zeta_eval_length_too_short_exit_2(capsys, tmp_path, recwarn, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: exp(-1e-300 s) rounds to 1 at s = ")
     assert err.count("\n") == 1
-    assert not recwarn.list
 
 
 @pytest.mark.parametrize("argv", [(), ("--fn", "Z"), ("--motive=-1=1,0=-1",)])

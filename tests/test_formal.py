@@ -411,8 +411,13 @@ def test_verify_Z_fe_refuses_a_wrong_gamma_factor(monkeypatch, f):
 def test_verify_Z_fe_rejects_asymmetric():
     with pytest.raises(ValueError):
         verify_Z_fe(LaurentPoly({2: 1, 1: 2}))
-    with pytest.raises(ValueError):
-        verify_Z_fe(LaurentPoly())
+
+
+def test_verify_Z_fe_zero_is_empty():
+    """f = 0 has Z_{M(0)} = S_{M(0)} = 1: both sides are empty and hold."""
+    v = verify_Z_fe(LaurentPoly())
+    assert v == Verdict(EMPTY, EMPTY)
+    assert v.holds and v.residual.is_empty()
 
 
 # -- base functional equation derivation ---------------------------------

@@ -299,6 +299,87 @@ def test_s2_near_float_range_edge(s):
     assert err < 1e-10 * abs(sv.value)
 
 
+def _closed_form_grid(rng):
+    """Seeded S_2 points: d next to +-1/2 along the ladder, s within 1e-9
+    of 1, s 1e-11 from other integers, and |s| about 1470, where
+    |S_2(s)| is close to the float range edge."""
+    far = rng.sample(range(-900, 900), 5)
+    near = rng.sample([k for k in range(-20, 22) if k != 1], 8)
+    return ([k + 0.5 for k in far] + [k + 0.5 - 1e-12 for k in far]
+            + [k - 0.5 + 1e-12 for k in far]
+            + [1 + 1e-9, 1 - 1e-9, 1 + 2 ** -52, 1 - 2 ** -53]
+            + [1 + rng.choice((-1, 1)) * rng.uniform(1e-12, 1e-9)
+               for _ in range(4)]
+            + [k + sign * 1e-11 for k in near for sign in (-1, 1)]
+            + [a * 1470 + b * rng.uniform(0.12, 0.28)
+               for a in (-1, 1) for b in (-1, 1) for _ in range(2)]
+            + [rng.uniform(-30, 30) for _ in range(8)])
+
+
+def test_s2_closed_form_grid():
+    """sine_r(2, .) against the 30-digit Gamma_2 route: the actual error
+    is within the estimate at every point of the seeded grid."""
+    for s in _closed_form_grid(random.Random(2503)):
+        sv = sine_r(2, s)
+        err = float(abs(sv.value - _mp_s2_closed_form(s)))
+        assert err <= sv.abs_err_estimate, s
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_s_M_closed_form_grid(genus):
+    """s_M against S_2(s)^2 / (2 sin pi s) from the 30-digit Gamma_2
+    route: d next to +-1/2, s within 1e-9 of 1 and 1e-11 from other
+    integers, and |s| about 1470 next to d = +-1/6, where
+    |2 sin pi d| = 1 keeps the value a normal float."""
+    rng = random.Random(2504 + genus)
+    grid = ([k + 0.5 for k in rng.sample(range(-60, 60), 3)]
+            + [k - 0.5 + 1e-12 for k in rng.sample(range(-60, 60), 3)]
+            + [1 + 1e-9, 1 - 1e-9, 1 + rng.uniform(1e-12, 1e-9)]
+            + [k + sign * 1e-11 for k in (-2, 0, 2, 3) for sign in (-1, 1)]
+            + [a * 1470 + b / 6 + rng.uniform(-0.01, 0.01)
+               for a in (-1, 1) for b in (-1, 1)]
+            + [rng.uniform(-3, 4) for _ in range(6)])
+    for s in grid:
+        sv = s_M(s, SurfaceParams(genus))
+        with mpmath.workdps(30):
+            a = _mp_s2_closed_form(s)
+            ref = (a * a / (2 * mpmath.sinpi(s))) ** (2 - 2 * genus)
+        err = float(abs(sv.value - ref))
+        assert err <= sv.abs_err_estimate, s
+
+
+def test_s2_base_window_matches_gamma_quotient():
+    """On (1/2, 3/2] the closed form and the kernel's Gamma_2(2-b) /
+    Gamma_2(b) agree within the sum of their estimates; the quotient's
+    adds its two kernel estimates, and 2 eps (2 + |log|) for rounding
+    2 - b (|(log Gamma_2)'| <= 1 there), the difference and the exp."""
+    rng = random.Random(2505)
+    grid = [0.5 + 1e-9, 0.75, 1.0, 1.25, 1.5]
+    grid += [1.5 - rng.random() for _ in range(16)]
+    for b in grid:
+        sv = sine_r(2, b)
+        lg, lg_b = log_gamma_r(2, 2 - b), log_gamma_r(2, b)
+        log_q = lg.value - lg_b.value
+        q = math.exp(log_q)
+        q_err = q * (lg.abs_err_estimate + lg_b.abs_err_estimate
+                     + 2 * special._EPS * (2 + abs(log_q)))
+        assert abs(sv.value - q) <= sv.abs_err_estimate + q_err, b
+
+
+def test_s2_and_s_M_call_no_kernel(monkeypatch):
+    """S_2 and s_M are closed forms: with the kernel gone, they still
+    return."""
+    def no_kernel(*args):
+        raise AssertionError("the Euler-Maclaurin kernel was called")
+
+    monkeypatch.setattr(special, "_zeta_r", no_kernel)
+    for s in (0.3, 0.75, 1.0, 1.5, -12.35, 7.61, 1470.3, -1470.3):
+        assert math.isfinite(sine_r(2, s).value)
+    for genus in (2, 3):
+        for s in (0.05, 0.5, 0.77, -2.6, 7.4):
+            assert math.isfinite(s_M(s, SurfaceParams(genus)).value)
+
+
 @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
 def test_s2_non_finite_is_domain_error(s):
     with pytest.raises(DomainError, match=re.escape(f"S_2 requires a finite s, got s={s}")):
