@@ -8,6 +8,9 @@ up to a word-length horizon; classes are cyclic-rotation classes of
 words merged by trace clustering.  That classification is word-level
 (relator-induced duplicate words of complementary lengths inside the
 horizon are counted per word class) and the spectrum file discloses it.
+The letters are also held exactly, over Z[sqrt2][u] in int64, with an
+exact product, normal forms modulo +-I and exact trace and orbit keys:
+the ground for an orbit enumeration, which nothing runs yet.
 
 The breadth-first search carries each word as two int64 codes, 4 bits
 per letter with the first letter highest: the word and its inverse
@@ -48,7 +51,10 @@ required, source optional), anywhere in the file, and one '<length>
 and an ASCII decimal int64, in strictly increasing length.
 load_spectrum reads every row in one bulk parse and checks the order in
 one vectorised comparison; it reads the lines one at a time only to
-name the first bad one, once either has failed.
+name the first bad one, once either has failed.  A text is parsed once
+per process: load_spectrum keeps the spectrum of the last file text it
+accepted, and returns it, with its cached Euler weights, for as long
+as the file it reads holds that same text.
 """
 from __future__ import annotations
 
@@ -207,6 +213,120 @@ def bolza_group() -> np.ndarray:
     letters = np.array(rows)
     letters.flags.writeable = False
     return letters
+
+
+# -- the exact group -----------------------------------------------------
+#
+# Every entry of a Bolza group element lies in Z[sqrt2][u], u = sqrt(1 +
+# sqrt2), u^2 = 1 + sqrt2: it is p + q u with p and q in Z[sqrt2], held as
+# the four integers (p0, p1, q0, q1) of p0 + p1 sqrt2 + (q0 + q1 sqrt2) u
+# on a last axis, so an element is an int64 array of shape (2, 2, 4).
+
+def bolza_group_exact() -> np.ndarray:
+    """The letters of bolza_group(), exactly: a read-only int64 array of
+    shape (8, 2, 2, 4).
+
+    With alpha = 1 + sqrt2, the cosh of half the translation length, and
+    sqrt2 u its sinh, turned by R(k pi/8) as in bolza_group, letter 2k is
+    [[alpha + c_k u, -s_k u], [-s_k u, alpha - c_k u]], with (c_k) =
+    (sqrt2, 1, 0, -1) and (s_k) = (0, 1, sqrt2, 1); its determinant is
+    alpha^2 - (c_k^2 + s_k^2) u^2 = 1.  Letter 2k + 1, its inverse, swaps
+    the diagonal and negates the off-diagonal.
+    """
+    c = ((0, 1), (1, 0), (0, 0), (-1, 0))     # c_k = c0 + c1 sqrt2
+    s = ((0, 0), (1, 0), (0, 1), (1, 0))
+    letters = np.zeros((8, 2, 2, 4), dtype=np.int64)
+    for k in range(4):
+        for letter, sign in ((2 * k, 1), (2 * k + 1, -1)):
+            m = letters[letter]
+            m[0, 0] = (1, 1, sign * c[k][0], sign * c[k][1])
+            m[1, 1] = (1, 1, -sign * c[k][0], -sign * c[k][1])
+            m[0, 1, 2:] = m[1, 0, 2:] = (-sign * s[k][0], -sign * s[k][1])
+    letters.flags.writeable = False
+    return letters
+
+
+def _fits(terms: int, x: np.ndarray, y: np.ndarray) -> None:
+    """OverflowError unless terms * max|x| * max|y| < 2^63, the bound on
+    every int64 a product formed from x and y takes (see _z2u_mul)."""
+    big = int(np.abs(x).max(initial=0)) * int(np.abs(y).max(initial=0))
+    if terms * big >= 2 ** 63:
+        raise OverflowError("an exact product could overflow int64: "
+                            f"max|x| max|y| = {big}")
+
+
+def _z2u_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise product in Z[sqrt2][u], on the last axis of 4:
+    (p + q u)(r + t u) = p r + q t (1 + sqrt2) + (p t + q r) u.  With X
+    and Y the largest |coordinate| of x and y, a Z[sqrt2] product is at
+    most (3, 2) X Y in its two coordinates, times 1 + sqrt2 at most
+    (7, 5) X Y, so every coordinate and partial sum is at most 10 X Y."""
+    p0, p1, q0, q1 = np.moveaxis(x, -1, 0)
+    r0, r1, t0, t1 = np.moveaxis(y, -1, 0)
+    qt0, qt1 = q0 * t0 + 2 * q1 * t1, q0 * t1 + q1 * t0
+    return np.stack([p0 * r0 + 2 * p1 * r1 + qt0 + 2 * qt1,
+                     p0 * r1 + p1 * r0 + qt0 + qt1,
+                     p0 * t0 + 2 * p1 * t1 + q0 * r0 + 2 * q1 * r1,
+                     p0 * t1 + p1 * t0 + q0 * r1 + q1 * r0], axis=-1)
+
+
+def exact_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The matrix product x y of exact elements, shape (..., 2, 2, 4),
+    broadcast over the leading axes, in int64 with no rounding.
+    OverflowError, before anything is multiplied, unless every
+    coordinate stays within 20 X Y < 2^63 (two terms of _z2u_mul's)."""
+    _fits(20, x, y)
+    return (_z2u_mul(x[..., :, :1, :], y[..., :1, :, :])
+            + _z2u_mul(x[..., :, 1:, :], y[..., 1:, :, :]))
+
+
+def exact_normalize(x: np.ndarray) -> np.ndarray:
+    """Exact elements modulo +-I: each times the sign of its first nonzero
+    coordinate in C order, so that g and -g give one array."""
+    flat = x.reshape(x.shape[:-3] + (16,))
+    first = np.take_along_axis(flat, np.argmax(flat != 0, axis=-1)[..., None],
+                               axis=-1)
+    return x * np.sign(first)[..., None, None]
+
+
+def _z2_sign(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The sign of x + y sqrt2, exactly: that of x where x^2 > 2 y^2, else
+    that of y.  OverflowError where a square could overflow int64."""
+    if max(int(np.abs(x).max(initial=0)), int(np.abs(y).max(initial=0))) >= 2 ** 31:
+        raise OverflowError("a Z[sqrt2] sign test would overflow int64")
+    return np.where(x * x > 2 * y * y, np.sign(x), np.sign(y))
+
+
+def exact_trace_key(x: np.ndarray) -> np.ndarray:
+    """(m, n) with |trace| = m + n sqrt2, for each exact element: int64 of
+    shape (..., 2).  Traces in the group have zero u-part (ValueError
+    otherwise), and the sign is dropped, as -g has the trace -tr g."""
+    tr = x[..., 0, 0, :] + x[..., 1, 1, :]
+    if np.any(tr[..., 2:]):
+        raise ValueError("a trace has a nonzero u-part: not a group element")
+    sign = _z2_sign(tr[..., 0], tr[..., 1])
+    return tr[..., :2] * sign[..., None]
+
+
+def exact_orbit_key(x: np.ndarray) -> np.ndarray:
+    """The orbit point g i of each exact element g = [[a, b], [c, d]], as
+    4 integers: int64 of shape (..., 4).
+
+    X2 = ac + bd and 2 X1 = a^2 + b^2 - c^2 - d^2, the point's
+    hyperboloid coordinates, are pure u-multiples q u with q in Z[sqrt2]
+    (ValueError otherwise); the key is (q0, q1) of X2, then of 2 X1.  It
+    is unchanged by g -> -g, and as the group is torsion-free it tells
+    the elements apart modulo +-I.  OverflowError unless every coordinate
+    stays within 40 X^2 < 2^63 (four terms of _z2u_mul's).
+    """
+    _fits(40, x, x)
+    a, b, c, d = (x[..., i, j, :] for i in (0, 1) for j in (0, 1))
+    x2 = _z2u_mul(a, c) + _z2u_mul(b, d)
+    x1 = _z2u_mul(a, a) + _z2u_mul(b, b) - _z2u_mul(c, c) - _z2u_mul(d, d)
+    if np.any(x2[..., :2]) or np.any(x1[..., :2]):
+        raise ValueError("an orbit coordinate is not a pure u-multiple: "
+                         "not a group element")
+    return np.concatenate([x2[..., 2:], x1[..., 2:]], axis=-1)
 
 
 def _frontiers(letters: np.ndarray, max_len: int
@@ -451,6 +571,12 @@ _ROW = np.dtype([("length", np.float64), ("mult", np.int64)])
 _HEADER_LINE = re.compile(r"\n[^\S\n]*#([^\n]*)")
 
 
+# The text of the last file load_spectrum accepted and the spectrum built
+# from it, as one (text, LengthSpectrum) pair assigned in one step; None
+# until a file is accepted.
+_LOADED: Optional[Tuple[str, LengthSpectrum]] = None
+
+
 def load_spectrum(path: str) -> LengthSpectrum:
     """Read a file that save_spectrum wrote, or one of the same grammar.
 
@@ -469,12 +595,27 @@ def load_spectrum(path: str) -> LengthSpectrum:
     time, to raise the SpectrumFormatError of the first bad line.  Every
     other refusal, an undecodable file or a spectrum that LengthSpectrum
     refuses, is a SpectrumFormatError of line 0.
+
+    A text is parsed once per process: every call reads the file, and
+    when its decoded text equals that of the last file accepted, returns
+    the spectrum built then, which is frozen and read-only.  The result
+    depends on the text alone; path only names the file in errors, and
+    no refusal is kept.
     """
+    global _LOADED
     with open(path) as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise SpectrumFormatError(path, 0, str(exc)) from None
+    loaded = _LOADED
+    if loaded is None or loaded[0] != text:
+        loaded = _LOADED = (text, _parse_spectrum(path, text))
+    return loaded[1]
+
+
+def _parse_spectrum(path: str, text: str) -> LengthSpectrum:
+    """The spectrum of one file's text, as load_spectrum describes it."""
     pieces = _HEADER_LINE.split("\n" + text)
     headers: dict = {}
     try:

@@ -13,9 +13,10 @@ Arithmetic is float for real w and complex for complex w.  At a
 nonpositive integer w the value is the exact Bernoulli polynomial one.
 hurwitz_zeta and hurwitz_zeta_dw are the kernel at r = 1, and the log of
 the order-r gamma function is its w-derivative at w = 0.  The composites
-(gamma_r, gamma_M, the sines, s_M and the Selberg functional-equation
-factor) are each a sum in log space with the estimates of its parts
-carried through, and one exp (_from_log).  S_2, s_M and the Selberg
+(gamma_r, gamma_M, the double sine S_2, s_M and the Selberg
+functional-equation factor) are each a sum in log space with the
+estimates of its parts carried through, and one exp (_from_log).  The
+double sine is the one multiple sine supported.  S_2, s_M and the Selberg
 factor call no kernel: they are closed forms in the Clausen function,
 whose series (_clausen) shares only the Bernoulli table with the kernel.
 The fe-integral check pairs the Selberg factor with the kernel's Gamma_M.
@@ -485,8 +486,11 @@ def _log_s2(s: float) -> Tuple[float, int, float]:
         log |S_2(s)| = -(s - 1) L - Cl_2(2 pi d) / (2 pi),
 
     and the sign is (-1)^(n(n-1)/2) times that of (sin pi b)^n, as
-    S_2(b) > 0.  S_2(1) = 1 is returned as it is.  With m = s - 1, the
-    bound on the log's error adds
+    S_2(b) > 0.  Poles and zeros are decided on the exact d: d == 0 is a
+    PoleError, save S_2(1) = 1, which is returned as it is, and every
+    other s, however near an integer, gives the formula's value (where
+    that is not a normal float, _from_log refuses it).  With m = s - 1,
+    the bound on the log's error adds
 
         eps |m| (2 + 2|L|)      the sine and its log, taken once and
                                 scaled by |m|: pi d is off by eps |pi d|,
@@ -504,9 +508,9 @@ def _log_s2(s: float) -> Tuple[float, int, float]:
     d = s - k
     if d == -0.5:                   # round() ties to even
         k, d = k - 1, 0.5
-    if abs(d) < 1e-12 and k != 1:
-        raise PoleError(f"S_2 evaluation hits a sine zero/pole at integer s={s}")
     if not d:
+        if k != 1:
+            raise PoleError(f"S_2 evaluation hits a sine zero/pole at integer s={s}")
         return 0.0, 1, 0.0
     n = k - 1
     m = s - 1.0
@@ -519,24 +523,17 @@ def _log_s2(s: float) -> Tuple[float, int, float]:
 
 
 def sine_r(r: int, s: float) -> SpecialValue:
-    """Normalized multiple sine of order 1 or 2, in log space.
+    """Normalized multiple sine of order r = 2, the one order supported,
+    in log space.
 
-    Order 1 is only needed on its base window (0, 1); order 2 is defined
-    at every finite non-integer s (_log_s2), with an estimate that grows
-    with |s|.  Raises DomainError where the value is not a normal float:
-    |S_2(s)| over- or underflows far along the ladder, and
-    S_1(s) = 2 sin pi s is subnormal for s next to 0.
+    It is defined at every finite non-integer s (_log_s2), with an
+    estimate that grows with |s|.  Raises PoleError at an integer other
+    than 1, and DomainError where the value is not a normal float:
+    |S_2(s)| over- or underflows far along the ladder, and is subnormal
+    for s next to 0.
     """
-    if r == 1:
-        if not 0 < s < 1:
-            raise DomainError(f"sine_r(1, s) requires 0 < s < 1, got s={s}")
-        lg = log_gamma_r(1, s)
-        lg2 = log_gamma_r(1, 1 - s)
-        return _from_log(-lg.value - lg2.value,
-                         lg.abs_err_estimate + lg2.abs_err_estimate,
-                         f"sine_r(1, {s!r})")
     if r != 2:
-        raise DomainError(f"sine_r supports r in {{1, 2}}, got r={r}")
+        raise DomainError(f"sine_r supports r = 2 only, got r={r}")
     log_v, sign, err = _log_s2(s)
     return _from_log(log_v, err, f"sine_r(2, {s!r})", sign)
 
@@ -563,13 +560,14 @@ def s_M(s: float, params: SurfaceParams) -> SpecialValue:
     One _log_s2 call: log |S_2(s+1)| = L(s) - log |2 sin pi d| by the
     ladder, with L(s) = log |S_2(s)| and d = s - round(s) exact, so s + 1
     is never formed.  The estimate adds 2 err(L(s)), the sine's rounding
-    (as in _log_s2) and the rounding of the sum.  Raises DomainError
+    (as in _log_s2) and the rounding of the sum.  Raises PoleError at
+    every integer s, where d == 0 exactly, s = 1 included, and DomainError
     where the value is not a normal float.
     """
     e = 2 - 2 * params.genus
     log_a, _, err_a = _log_s2(s)
     d = s - round(s)
-    if abs(d) < 1e-12:              # s = 1: S_2(1) = 1, but S_2(2) is a pole
+    if not d:                       # s = 1: S_2(1) = 1, but S_2(2) is a pole
         raise PoleError(f"S_2 evaluation hits a sine zero/pole at integer s={s + 1}")
     log_sine = math.log(abs(2.0 * math.sin(math.pi * d)))
     log_v = 2 * log_a - log_sine

@@ -17,7 +17,10 @@ import selbergfe
 from selbergfe import geodesics
 from selbergfe.geodesics import (BOLZA_LENGTH, LengthSpectrum,
                                  SpectrumFormatError, bolza_group,
-                                 enumerate_spectrum, euler_zeta,
+                                 bolza_group_exact, enumerate_spectrum,
+                                 euler_zeta, exact_normalize,
+                                 exact_orbit_key, exact_product,
+                                 exact_trace_key,
                                  geodesic_count, load_spectrum, pgt_table,
                                  save_spectrum, selberg_Z, zeta_motive_numeric,
                                  _class_firsts, _classify_frontier,
@@ -89,6 +92,102 @@ def test_relator_exists_at_length_8(bolza):
     hits = dev < 1e-9
     # one relator orbit: 8 rotations x 2 orientations
     assert hits.sum() == 16
+
+
+# -- the exact group ---------------------------------------------------
+
+_IDENTITY = np.zeros((2, 2, 4), dtype=np.int64)
+_IDENTITY[0, 0, 0] = _IDENTITY[1, 1, 0] = 1
+# g0 g1^-1 g2 g3^-1 g0^-1 g1 g2^-1 g3, the octagon's side-pairing relation
+_RELATOR = (0, 3, 4, 7, 1, 2, 5, 6)
+
+
+def _exact_value(x):
+    """The float values of exact numbers, held as (p0, p1, q0, q1) on the
+    last axis: p0 + p1 sqrt2 + (q0 + q1 sqrt2) u, u = sqrt(1 + sqrt2)."""
+    p0, p1, q0, q1 = np.moveaxis(x, -1, 0).astype(np.float64)
+    r2 = math.sqrt(2)
+    return p0 + p1 * r2 + (q0 + q1 * r2) * math.sqrt(1 + r2)
+
+
+def test_exact_letters_equal_the_float_letters(bolza):
+    exact = bolza_group_exact()
+    assert exact.shape == (8, 2, 2, 4) and exact.dtype == np.int64
+    assert not exact.flags.writeable
+    assert np.abs(_exact_value(exact) - bolza).max() <= 1e-14
+
+
+def test_exact_relator_is_the_identity(bolza):
+    """The octagon relation is exactly +-I (the float product agrees), and
+    each letter times its inverse is exactly I."""
+    letters = bolza_group_exact()
+    m = _IDENTITY
+    for letter in _RELATOR:
+        m = exact_product(m, letters[letter])
+    assert (exact_normalize(m) == _IDENTITY).all()
+    floats = np.linalg.multi_dot(bolza[list(_RELATOR)])
+    assert np.abs(floats - np.eye(2)).max() < 1e-9
+    assert (exact_product(letters[0::2], letters[1::2]) == _IDENTITY).all()
+
+
+def test_exact_traces_of_random_words(bolza):
+    """Seeded random words: every trace has zero u-part, so the key (m, n)
+    exists, m + n sqrt2 is the float |trace| (to the rounding of the
+    float product, which scales with its entries, not its trace), and g
+    and -g share one normal form."""
+    rng = np.random.default_rng(2601)
+    words = rng.integers(0, 8, size=(300, 10))
+    letters = bolza_group_exact()
+    exact, floats = letters[words[:, 0]], bolza[words[:, 0]]
+    for column in words[:, 1:].T:
+        exact = exact_product(exact, letters[column])
+        floats = floats @ bolza[column]
+        m, n = exact_trace_key(exact).T
+        value = m + n * math.sqrt(2)
+        trace = np.abs(np.trace(floats, axis1=1, axis2=2))
+        size = np.abs(floats).sum(axis=(1, 2))
+        assert (value > 0).all()
+        assert (np.abs(value - trace) <= 1e-12 * size).all()
+        assert (exact_normalize(-exact) == exact_normalize(exact)).all()
+
+
+def test_exact_product_refuses_overflow():
+    big = np.full((2, 2, 4), 2 ** 30, dtype=np.int64)
+    with pytest.raises(OverflowError):
+        exact_product(big, big)
+
+
+def test_orbit_count_over_the_full_disc():
+    """N(R), the elements modulo +-I with cosh d(i, g i) <= cosh R, is 9,
+    49, 97 and 265 at R = 4..7, as a float search over bolza_group()
+    finds.  A breadth-first search over the exact letters keeps g while
+    cosh d(i, g i) <= cosh(7 + 2 r_c), r_c the octagon's circumradius,
+    which holds every path of adjacent tiles along the geodesic from i
+    to g i; each layer is deduplicated by orbit key against itself and
+    the two layers before it."""
+    letters = bolza_group_exact()
+    r_c = math.acosh((1 + math.sqrt(2)) ** 2)
+    keep = math.cosh(7 + 2 * r_c)
+    layers = [_IDENTITY[None]]
+    keys = [np.zeros((0, 4), dtype=np.int64), exact_orbit_key(layers[0])]
+    cosh = [np.ones(1)]
+    while layers[-1].size:
+        g = exact_product(layers[-1][:, None], letters).reshape(-1, 2, 2, 4)
+        c = (_exact_value(g) ** 2).sum(axis=(1, 2)) / 2   # cosh d(i, g i)
+        g, c = g[c <= keep], c[c <= keep]
+        key = exact_orbit_key(g)
+        old = np.concatenate(keys[-2:])
+        _, first = np.unique(np.concatenate([old, key]), axis=0,
+                             return_index=True)
+        new = np.sort(first[first >= len(old)]) - len(old)
+        layers.append(g[new])
+        keys.append(key[new])
+        cosh.append(c[new])
+    cosh = np.concatenate(cosh)
+    assert [int((cosh <= math.cosh(R)).sum()) for R in (4, 5, 6, 7)] == \
+        [9, 49, 97, 265]
+    keys = np.concatenate(keys)
+    assert len(np.unique(keys, axis=0)) == len(keys) == len(cosh)
 
 
 def _code(word):
@@ -319,7 +418,8 @@ def test_spectrum_stores_owned_read_only_copies():
         assert not arr.flags.writeable
 
 
-def test_entries_built_only_when_read(bolza, tmp_path):
+def test_entries_built_only_when_read(bolza, tmp_path, monkeypatch):
+    monkeypatch.setattr(geodesics, "_LOADED", None)   # a first load
     sp = enumerate_spectrum(bolza, 3)
     path = str(tmp_path / "sp.txt")
     save_spectrum(sp, path)
@@ -328,9 +428,10 @@ def test_entries_built_only_when_read(bolza, tmp_path):
     assert loaded.entries is loaded.entries == sp.entries
 
 
-def test_euler_weights_built_only_when_used(bolza, tmp_path):
+def test_euler_weights_built_only_when_used(bolza, tmp_path, monkeypatch):
     """Loading and counting build no Euler weights; the first Euler
     product does, once, as read-only arrays."""
+    monkeypatch.setattr(geodesics, "_LOADED", None)   # a first load
     path = str(tmp_path / "sp.txt")
     save_spectrum(enumerate_spectrum(bolza, 3), path)
     sp = load_spectrum(path)
@@ -528,6 +629,84 @@ def test_load_line_endings(tmp_path, spectrum5, newline):
     assert a.lengths.tobytes() == b.lengths.tobytes()
     assert (a.entries, a.genus, a.source, a.horizon) == \
         (b.entries, b.genus, b.source, b.horizon)
+
+
+class _Parsed(Exception):
+    """Raised by a stand-in for np.loadtxt: the text was parsed."""
+
+
+def _refuse_to_parse(*args, **kwargs):
+    raise _Parsed
+
+
+def test_load_reuses_the_spectrum_of_the_same_text(spectrum5, tmp_path,
+                                                    monkeypatch):
+    """Once a text is loaded, the same text, at its path or at another,
+    returns the same object, Euler weights included, and is not parsed;
+    one digit changed in one row, with the file size kept, is parsed."""
+    monkeypatch.setattr(geodesics, "_LOADED", None)
+    path = tmp_path / "sp.txt"
+    save_spectrum(spectrum5, str(path))
+    first = load_spectrum(str(path))
+    selberg_Z(2.0, first)
+    monkeypatch.setattr(np, "loadtxt", _refuse_to_parse)
+    copy = tmp_path / "copy.txt"
+    copy.write_bytes(path.read_bytes())
+    for again in (load_spectrum(str(path)), load_spectrum(str(copy))):
+        assert again is first and "euler_weights" in vars(again)
+    size = path.stat().st_size
+    lines = path.read_text().split("\n")
+    row = lines[6]
+    digit = row.index("e") - 1
+    lines[6] = row[:digit] + str((int(row[digit]) + 1) % 10) + row[digit + 1:]
+    path.write_text("\n".join(lines))
+    assert path.stat().st_size == size
+    with pytest.raises(_Parsed):
+        load_spectrum(str(path))
+
+
+def test_load_keeps_no_refusal(spectrum5, tmp_path, monkeypatch):
+    """A bad file is refused each time with the same message; a good file
+    rewritten in place with a bad row is refused naming that line, and
+    the original text loads again."""
+    monkeypatch.setattr(geodesics, "_LOADED", None)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# genus=2\n# horizon=2.0\n3.0 2\n2.0 2\n")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(SpectrumFormatError) as err:
+            load_spectrum(str(bad))
+        messages.append(str(err.value))
+    assert messages == [f"{bad}:4: lengths must be strictly increasing"] * 2
+    path = tmp_path / "sp.txt"
+    save_spectrum(spectrum5, str(path))
+    good = path.read_text()
+    first = load_spectrum(str(path))
+    lines = good.split("\n")
+    lines[6] = lines[6].replace(" ", " x", 1)
+    path.write_text("\n".join(lines))
+    with pytest.raises(SpectrumFormatError) as err:
+        load_spectrum(str(path))
+    assert err.value.lineno == 7
+    path.write_text(good)
+    assert load_spectrum(str(path)) is first
+
+
+def test_load_reused_spectrum_equals_a_fresh_parse(spectrum7, tmp_path,
+                                                  monkeypatch):
+    path = str(tmp_path / "sp.txt")
+    save_spectrum(spectrum7, path)
+    monkeypatch.setattr(geodesics, "_LOADED", None)
+    load_spectrum(path)
+    reused = load_spectrum(path)
+    monkeypatch.setattr(geodesics, "_LOADED", None)
+    fresh = load_spectrum(path)
+    assert fresh is not reused
+    for name in ("lengths", "mults", "cum_mults"):
+        a, b = getattr(reused, name), getattr(fresh, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+    assert (reused.genus, reused.source, reused.horizon.hex()) == \
+        (fresh.genus, fresh.source, fresh.horizon.hex())
 
 
 _TOKEN = st.text(alphabet="0123456789+-.eEinfINF_x", min_size=1, max_size=8)

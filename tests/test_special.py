@@ -218,11 +218,6 @@ def test_s2_at_one():
     assert sine_r(2, 1.0).value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_s1_closed_form():
-    assert sine_r(1, 0.3).value == pytest.approx(2 * math.sin(0.3 * math.pi),
-                                                 abs=1e-11)
-
-
 def test_s2_half_reflection():
     prod = sine_r(2, 1.5).value * sine_r(2, 0.5).value
     assert prod == pytest.approx(1.0, rel=1e-10)
@@ -235,8 +230,8 @@ def test_s2_integer_rejected():
 
 
 def test_sine_order_domain():
-    with pytest.raises(DomainError):
-        sine_r(1, 1.5)
+    with pytest.raises(DomainError, match="r = 2 only"):
+        sine_r(1, 0.3)
     with pytest.raises(DomainError):
         sine_r(3, 0.5)
     for s in (100000.5, -100000.5, math.nan, math.inf):
@@ -478,12 +473,27 @@ def test_s_M_accurate_where_s_plus_1_rounds(s):
     assert err <= sv.abs_err_estimate
 
 
-@pytest.mark.parametrize("s", [0.0, 1.0, 1 + 1e-13, 2.0, -1.0])
+@pytest.mark.parametrize("s", [0.0, 1.0, 2.0, -1.0])
 def test_s_M_integer_is_pole_error(s):
     """S_2(s) S_2(s+1) has a zero or pole at every integer s, also at
     s = 1, where S_2(1) = 1 but S_2(2) is a pole."""
     with pytest.raises(PoleError, match="sine zero/pole at integer"):
         s_M(s, SurfaceParams(2))
+
+
+@pytest.mark.parametrize("s", [1 - 2 ** -40, 1 + 2 ** -40, 1 + 1e-13, 1e-13,
+                               3 + 1e-13, -2 + 2 ** -40])
+def test_near_integer_is_a_value(s):
+    """d = s - k is exact, so only an integer is a pole: next to one,
+    sine_r(2, .) and s_M are values within their estimates of the
+    30-digit reference."""
+    sv = sine_r(2, s)
+    assert float(abs(sv.value - _mp_s2_closed_form(s))) <= sv.abs_err_estimate
+    sv = s_M(s, SurfaceParams(2))
+    with mpmath.workdps(30):
+        a = _mp_s2_closed_form(s)
+        ref = (a * a / (2 * mpmath.sinpi(s))) ** -2
+    assert float(abs(sv.value - ref)) <= sv.abs_err_estimate
 
 
 def test_s_M_exponent_linearity():
@@ -498,7 +508,8 @@ def test_s_M_exponent_linearity():
     (lambda: gamma_M(1e-300, SurfaceParams(2)), "gamma_M(1e-300) at genus 2 = inf"),
     (lambda: gamma_M(50.0, SurfaceParams(100)), "gamma_M(50.0) at genus 100 = 0.0"),
     (lambda: s_M(0.3, SurfaceParams(100000)), "s_M(0.3) at genus 100000 = inf"),
-    (lambda: sine_r(1, 5e-324), "sine_r(1, 5e-324) = 3e-323"),
+    (lambda: sine_r(2, 5e-324), "sine_r(2, 5e-324) = 3e-323"),
+    (lambda: s_M(1e-300, SurfaceParams(2)), "s_M(1e-300) at genus 2 = inf"),
     (lambda: selberg_fe_factor(0.999, SurfaceParams(100000)),
      "selberg_fe_factor(0.999) at genus 100000 = 0.0"),
     (lambda: selberg_fe_factor(0.001, SurfaceParams(100000)),
