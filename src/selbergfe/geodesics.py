@@ -37,7 +37,11 @@ the counts are array arithmetic over them.  Z is summed as log Z(s) =
 -log zeta(s) minus a power series in y = q r, q = exp(-length s) and
 r = exp(-length), with one exp pass per s: log zeta's q is reused, and
 r and the first power's weights m r / (1 - r), which do not depend on
-s, are derived once per spectrum, on the first Euler product.  Each
+s, are derived once per spectrum, on the first Euler product.  The
+zeta pass itself (exp, log1p, sum and rounding bound) is kept for the
+last 4 (spectrum, s) pairs, so Z(s), Z(s + 1), zeta(s) and the motive
+factors at those points share it; a kept pass is returned as it was
+computed, so every value and estimate is bit-identical to a fresh one.  Each
 later power is one short pass over a shrinking prefix of the rows, and
 the rows it drops have their tails bounded by one dot product.  Each
 Euler product's error estimate bounds the floating-point rounding of
@@ -851,13 +855,25 @@ def selberg_Z(s: float, sp: LengthSpectrum) -> SpecialValue:
                                 + _EPS * (abs(log_v) + 1.0)))
 
 
+# The zeta pass at s and s + 1, which Z(s + 1) / Z(s) = zeta(s) telescopes
+# between, and slack for a motive's factors at s - k.
+_ZETA_PASSES = 4
+
+
+@functools.lru_cache(maxsize=_ZETA_PASSES)
 def _log_euler_zeta(s: float, sp: LengthSpectrum
                     ) -> Tuple[float, float, np.ndarray]:
     """log prod_P (1 - N(P)^-s)^-1, a bound on its rounding error, and
-    the q = N(P)^-s = exp(-length s) it was summed from.
+    the q = N(P)^-s = exp(-length s) it was summed from, read-only.
+
+    The pass, exp, log1p, sum and rounding bound, is kept for the last
+    _ZETA_PASSES (s, spectrum) pairs, the spectrum by identity: Z(s),
+    zeta(s) and the motive factors at one s share it, and a repeat call
+    returns the same tuple, so its values are those of a fresh pass bit
+    for bit.  The store keeps those spectra and q arrays alive.
 
     Raises DomainError where a length is so short that N(P)^-s rounds
-    to 1, which would make its factor infinite.
+    to 1, which would make its factor infinite; a refusal is not kept.
     """
     # where length s overflows to inf, exp gives 0: the exact value is
     # below the least subnormal there, so 0 is its correct rounding, and
@@ -870,6 +886,7 @@ def _log_euler_zeta(s: float, sp: LengthSpectrum
             f"exp(-{float(sp.lengths[0])!r} s) rounds to 1 at s = {s}: the "
             "Euler factor of that length cannot be evaluated as a float")
     log_inv, err = _log_factors(sp.lengths, s, q, sp.mults)
+    q.flags.writeable = False
     return log_inv, err, q
 
 
@@ -925,8 +942,8 @@ def pgt_table(sp: LengthSpectrum,
     rows = []
     beyond = []
     for x in xs:
-        if x <= math.e:
-            raise DomainError(f"pgt_table requires x > e, got x={x}")
+        if not math.e < x < math.inf:
+            raise DomainError(f"pgt_table requires e < x < inf, got x={x}")
         if math.log(x) > sp.horizon:
             beyond.append(x)
         count = geodesic_count(x, sp)

@@ -963,6 +963,109 @@ def test_zeta_motive_domain_error_names_k(spectrum5):
     assert "k=1" in str(err.value)
 
 
+# -- the kept zeta passes ------------------------------------------------
+
+_MOTIVE = LaurentPoly({-1: 1, 0: -1})   # x^-1 - 1: factors at s + 1 and s
+
+
+# Z(s), Z(s + 1), zeta(s) and the x^-1 - 1 motive, in that order
+_ROUND = (lambda s, sp: selberg_Z(s, sp),
+          lambda s, sp: selberg_Z(s + 1, sp),
+          lambda s, sp: euler_zeta(s, sp),
+          lambda s, sp: zeta_motive_numeric(_MOTIVE, s, sp))
+
+
+def _euler_round(s, sp):
+    """(value, estimate) of each product of _ROUND, as float.hex pairs."""
+    return [(v.value.hex(), v.abs_err_estimate.hex())
+            for v in (fn(s, sp) for fn in _ROUND)]
+
+
+def _count_calls(monkeypatch, name):
+    """A list that grows by one per call of np.<name>; np.log1p runs
+    once per zeta pass, np.exp once per pass or refusal."""
+    calls, fn = [], getattr(np, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(np, name, counted)
+    return calls
+
+
+def test_kept_pass_equals_a_fresh_one(spectrum7):
+    """Values and estimates read through kept passes equal those of
+    fresh passes bit for bit, whichever of the two is computed first."""
+    for s in (1.7, 2.0, 3.25):
+        geodesics._log_euler_zeta.cache_clear()
+        kept = [_euler_round(s, spectrum7) for _ in range(2)]
+        fresh = []
+        for fn in _ROUND:
+            geodesics._log_euler_zeta.cache_clear()
+            v = fn(s, spectrum7)
+            fresh.append((v.value.hex(), v.abs_err_estimate.hex()))
+        assert kept == [fresh, fresh], s
+
+
+def test_one_pass_per_point_of_a_round(spectrum5, monkeypatch):
+    """Z(s), Z(s + 1), zeta(s) and the motive's factors at s + 1 and s
+    ask for 5 passes at 2 points: 2 are computed."""
+    geodesics._log_euler_zeta.cache_clear()
+    calls = _count_calls(monkeypatch, "log1p")
+    _euler_round(2.5, spectrum5)
+    assert len(calls) == 2
+
+
+def test_a_fifth_point_evicts_the_first(spectrum5, monkeypatch):
+    geodesics._log_euler_zeta.cache_clear()
+    points = [2.0, 2.5, 3.0, 3.5, 4.0]
+    for s in points:
+        euler_zeta(s, spectrum5)
+    calls = _count_calls(monkeypatch, "log1p")
+    for s in reversed(points[1:]):
+        euler_zeta(s, spectrum5)
+    assert calls == []
+    euler_zeta(points[0], spectrum5)
+    assert len(calls) == 1
+
+
+def test_kept_q_is_read_only(spectrum5):
+    geodesics._log_euler_zeta.cache_clear()
+    selberg_Z(2.0, spectrum5)
+    _, _, q = geodesics._log_euler_zeta(2.0, spectrum5)
+    with pytest.raises(ValueError, match="read-only"):
+        q[0] = 0.5
+    assert 0.0 < q[0] < 1.0
+
+
+def test_refused_pass_is_not_kept(monkeypatch):
+    """A length so short that exp(-length s) rounds to 1 is refused on
+    every call, each time by a fresh pass."""
+    geodesics._log_euler_zeta.cache_clear()
+    sp = _spectrum([(1e-17, 2), (3.0, 2)])
+    calls = _count_calls(monkeypatch, "exp")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DomainError, match="rounds to 1") as err:
+            euler_zeta(2.0, sp)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and len(calls) == 2
+
+
+def test_two_spectra_at_one_point_keep_two_passes(spectrum5, monkeypatch):
+    """Spectra are told apart by identity, even with equal rows."""
+    twin = _spectrum(spectrum5.entries, spectrum5.horizon)
+    other = _spectrum([(2.0, 2), (3.0, 4)])
+    geodesics._log_euler_zeta.cache_clear()
+    calls = _count_calls(monkeypatch, "log1p")
+    values = [euler_zeta(2.0, sp).value for sp in (spectrum5, twin, other)]
+    assert len(calls) == 3
+    assert values[0] == values[1] != values[2]
+    assert values[2] == pytest.approx(1.0 / ((1 - math.exp(-4.0)) ** 2
+                                             * (1 - math.exp(-6.0)) ** 4),
+                                      rel=1e-15)
+
+
 # -- counting ------------------------------------------------------------
 
 def test_count_below_systole(spectrum5):
@@ -1043,8 +1146,10 @@ def test_pgt_warns_once_for_many_points_beyond_horizon():
 
 
 def test_pgt_rejects_small_x(spectrum5):
-    with pytest.raises(DomainError):
-        pgt_table(spectrum5, [2.0])
+    for x in (2.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match=re.escape(
+                f"pgt_table requires e < x < inf, got x={x}")):
+            pgt_table(spectrum5, [x])
 
 
 _PACKAGE_NAMES = ["BOLZA_LENGTH", "LengthSpectrum", "bolza_group",
