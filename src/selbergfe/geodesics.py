@@ -37,17 +37,22 @@ the counts are array arithmetic over them.  Z is summed as log Z(s) =
 -log zeta(s) minus a power series in y = q r, q = exp(-length s) and
 r = exp(-length), with one exp pass per s: log zeta's q is reused, and
 r and the first power's weights m r / (1 - r), which do not depend on
-s, are derived once per spectrum, on the first Euler product.  The
-zeta pass itself (exp, log1p, sum and rounding bound) is kept for the
+s, are derived once per spectrum, on the first Euler product.  That
+pass stops at a cut, found by one searchsorted: the rows past
+l_0 + (ln(C / m_0) + 60 ln 2) / s, with C classes in all and l_0 and
+m_0 the first row's length and multiplicity, add less than 2^-60 of
+the first row's term to log zeta, and are bounded together, from the
+first of them, in zeta's estimate and in Z's, with no pass over them.
+The zeta pass itself (exp, log1p, sum and error bound) is kept for the
 last 4 (spectrum, s) pairs, so Z(s), Z(s + 1), zeta(s) and the motive
 factors at those points share it; a kept pass is returned as it was
-computed, so every value and estimate is bit-identical to a fresh one.  Each
-later power is one short pass over a shrinking prefix of the rows, and
-the rows it drops have their tails bounded by one dot product.  Each
-Euler product's error estimate bounds the floating-point rounding of
-its terms, sums and final exp, plus, for Z, the truncation of that
-series; the spectrum itself is finite, which its completeness horizon
-discloses.
+computed, so every value and estimate is bit-identical to a fresh one.
+Each later power is one short pass over a shrinking prefix of the
+rows, and the rows it drops have their tails bounded by one dot
+product.  Each Euler product's error estimate bounds the floating-point
+rounding of its terms, sums and final exp, plus the rows past the cut
+and, for Z, the truncation of that series; the spectrum itself is
+finite, which its completeness horizon discloses.
 
 A spectrum file is text: '# key=value' header lines (genus and horizon
 required, source optional), anywhere in the file, and one '<length>
@@ -62,6 +67,7 @@ as the file it reads holds that same text.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -105,6 +111,9 @@ class LengthSpectrum:
     the number of classes in the first i rows, exact below 2**53.
     `entries`, the rows as (float, int) pairs, and `euler_weights`, two
     more read-only arrays for selberg_Z, are built on first read.
+    `horizon`, the length up to which the rows are complete, is finite
+    and >= 0, and may lie past the last length: a spectrum complete to
+    a length need not have a row there.
     """
     lengths: np.ndarray
     mults: np.ndarray
@@ -141,8 +150,6 @@ class LengthSpectrum:
         if not 0.0 <= self.horizon < math.inf:
             raise ValueError("completeness horizon must be finite and >= 0, "
                              f"got {self.horizon}")
-        if n and self.horizon > lengths[-1] + 1e-12:
-            raise ValueError("completeness horizon exceeds max recorded length")
         mults = mults.astype(np.float64)
         cum = np.concatenate(([0.0], np.cumsum(mults)))
         if cum[-1] > 2.0 ** 53:
@@ -714,6 +721,16 @@ def _raise_first_bad_line(path: str, text: str,
 _SERIES_DEPTH = 60.0 * math.log(2.0)
 
 
+def _exp_above(x: float) -> float:
+    """An upper bound on exp(-X), where the float x >= 0 is X after at most
+    three roundings (a length times s or s + 1): shrinking x by 2 eps of
+    itself undoes them, the factor 1 + 2 eps covers the rounding of exp
+    and of that product, and the least subnormal, 2^-1074, a result
+    below the normal range, where exp is within that much.  An x that
+    overflowed to inf gives 2^-1074, and no warning."""
+    return math.exp(-x * (1.0 - 2.0 * _EPS)) * (1.0 + 2.0 * _EPS) + 5e-324
+
+
 def _log_factors(ell: np.ndarray, p: float, q: np.ndarray,
                  mult: np.ndarray) -> Tuple[float, float]:
     """log prod (1 - q)^-mult for q = exp(-ell p), and a bound on its rounding.
@@ -730,7 +747,7 @@ def _log_factors(ell: np.ndarray, p: float, q: np.ndarray,
     t = mult * np.log1p(-q)
     log_inv = -float(t.sum())
     roundings = 5.0 + _sum_roundings(t.size)
-    return log_inv, _EPS * (roundings * log_inv - p * float(np.dot(t, ell)))
+    return log_inv, _EPS * (roundings * log_inv - p * float(t.dot(ell)))
 
 
 def _sum_roundings(n: int) -> float:
@@ -743,16 +760,22 @@ def _log_Z_series(s: float, sp: LengthSpectrum, limit: float,
     """sum_i m_i sum_{k>=1} y_i^k / (k (1 - r_i^k)), with two error bounds.
 
     y = q r, q = exp(-length s) and r = exp(-length).  selberg_Z passes
-    the q that log zeta was summed from.  Returns the series, a bound on
-    its truncation and a bound on its rounding.  Pass 1 is one product
-    w q, w = m r / (1 - r) of sp.euler_weights.  Pass k >= 2 sums
-    m y^k / expm1(-k length), with -1/k applied to the sum, over the
-    rows with (k - 1)(s + 1) length <= _SERIES_DEPTH, a prefix of the
-    sorted lengths found by one searchsorted.  A row dropped after K terms leaves at most
-    m y^(K+1) / ((K+1)(1 - r)(1 - y)), since 1 - r^k >= 1 - r and
-    1/k <= 1/(K+1).  The rows dropped together are bounded by one dot,
-    sum m y^(K+1), over the r and y of the first of them: they are the
-    largest there, as the lengths increase.
+    the q that log zeta was summed from, which covers the rows up to the
+    cut of _log_euler_zeta, a prefix of them.  Returns the series, a
+    bound on its truncation and a bound on its rounding.  Pass 1 is one
+    product w q, w = m r / (1 - r) of sp.euler_weights.  Pass k >= 2
+    sums m y^k / expm1(-k length), with -1/k applied to the sum, over
+    the rows with (k - 1)(s + 1) length <= _SERIES_DEPTH, a prefix of
+    the sorted lengths found by one searchsorted; it lies within the cut,
+    which is past _SERIES_DEPTH / s.  A row dropped after K terms leaves
+    at most m y^(K+1) / ((K+1)(1 - r)(1 - y)), since 1 - r^k >= 1 - r
+    and 1/k <= 1/(K+1).  The rows dropped together are bounded by one
+    dot, sum m y^(K+1), over the r and y of the first of them: they are
+    the largest there, as the lengths increase.  The rows past the cut,
+    n on, are dropped after K = 0 terms, and bounded with no pass over
+    them: (C - C_n) y_n / ((1 - r_n)(1 - y_n)), C - C_n classes from
+    cum_mults, with y_n from above by _exp_above and the bound taken
+    1 + 8 eps times, past the six roundings of its evaluation.
 
     Rounding, as in _log_factors, with x = length (s + 1): q is off by
     eps (length s + 1) of itself, r and 1 - r = -expm1(-length) by eps
@@ -773,9 +796,15 @@ def _log_Z_series(s: float, sp: LengthSpectrum, limit: float,
     ell, mult = sp.lengths, sp.mults
     r, w = sp.euler_weights
     x = s + 1.0
-    y = q * r
-    term, scale, yk, n, k = w * q, 1.0, y, ell.size, 1
+    n = q.size
+    y = q * r[:n]
+    term, scale, yk, k = w[:n] * q, 1.0, y, 1
     series, partial, trunc, round_k = [], 0.0, 0.0, 0.0
+    if n < ell.size:
+        first = ell.item(n)
+        y_n = _exp_above(first * x)
+        trunc = ((sp.cum_mults.item(-1) - sp.cum_mults.item(n)) * y_n
+                 / (-math.expm1(-first) * (1.0 - y_n)) * (1.0 + 8.0 * _EPS))
     while n:
         head = ell[:n]
         if k > 1:
@@ -791,13 +820,15 @@ def _log_Z_series(s: float, sp: LengthSpectrum, limit: float,
                 f"selberg_Z({s}) lies below {_FLOAT_MIN!r} (seen at series "
                 f"pass {k}), outside the normal float range; it cannot be "
                 "evaluated as a float")
-        round_k += (k * scale * x * float(np.dot(term, head))
+        round_k += (k * scale * x * float(term.dot(head))
                     + (3.0 * k + 4.0 + _sum_roundings(n)) * part)
-        keep = int(np.searchsorted(ell, _SERIES_DEPTH / (k * x), side="right"))
+        # the method: np.searchsorted's dispatch costs more than the
+        # search itself on these arrays
+        keep = int(ell.searchsorted(_SERIES_DEPTH / (k * x), "right"))
         yk = yk * y[:n]
         if keep < n:
             first = float(ell[keep])
-            trunc += float(np.dot(mult[keep:n], yk[keep:])) / (
+            trunc += float(mult[keep:n].dot(yk[keep:])) / (
                 (k + 1) * math.expm1(-first) * math.expm1(-first * x))
             yk = yk[:keep]
         n, k = keep, k + 1
@@ -838,12 +869,14 @@ def selberg_Z(s: float, sp: LengthSpectrum) -> SpecialValue:
     once, for both sums; r and the first pass's weights m r / (1 - r)
     do not depend on s and are formed once per spectrum.  Each row keeps
     its terms while the next is above 2^-60 of its first
-    (_log_Z_series).  The error estimate covers the rounding of log
-    zeta, the truncation of the rows' series (geometric tails, bounded
-    together for the rows dropped at one pass) and their rounding, and
-    the rounding of the final exp.  The spectrum itself is finite,
-    disclosed via the completeness horizon.  Raises DomainError where Z
-    is not a normal float, as soon as the series shows it.
+    (_log_Z_series), and only the rows up to the cut of
+    _log_euler_zeta are evaluated.  The error estimate covers the error
+    of log zeta, the truncation of the rows' series (geometric tails,
+    bounded together for the rows dropped at one pass and for the rows
+    past the cut) and their rounding, and the rounding of the final
+    exp.  The spectrum itself is finite, disclosed via the completeness
+    horizon.  Raises DomainError where Z is not a normal float, as soon
+    as the series shows it.
     """
     check_euler_s(s, "selberg_Z")
     log_zeta, zeta_err, q = _log_euler_zeta(s, sp)
@@ -863,10 +896,23 @@ _ZETA_PASSES = 4
 @functools.lru_cache(maxsize=_ZETA_PASSES)
 def _log_euler_zeta(s: float, sp: LengthSpectrum
                     ) -> Tuple[float, float, np.ndarray]:
-    """log prod_P (1 - N(P)^-s)^-1, a bound on its rounding error, and
-    the q = N(P)^-s = exp(-length s) it was summed from, read-only.
+    """log prod_P (1 - N(P)^-s)^-1, a bound on its error, and the q =
+    N(P)^-s = exp(-length s) it was summed from, read-only, one per row
+    up to the cut.
 
-    The pass, exp, log1p, sum and rounding bound, is kept for the last
+    The cut: only the rows with length <= l_0 + (ln(C / m_0) +
+    _SERIES_DEPTH) / s are evaluated, a prefix found by one
+    searchsorted, with C = cum_mults[-1] the number of classes and l_0,
+    m_0 the first row's length and multiplicity.  q falls along the
+    rows, so the rows from the cut index n on add at most (C - C_n)
+    (-log1p(-q_n)) to the sum, q_n = exp(-l_n s) < 2^-60 (m_0 / C) q_0;
+    -log1p(-q) / q rises with q, so that is below 2^-60 of the first
+    term, -m_0 log1p(-q_0).  The bound, with q_n from above by
+    _exp_above and taken 1 + 8 eps times, past the three roundings of
+    its evaluation, is added to the rounding bound of _log_factors over
+    the rows kept.
+
+    The pass, exp, log1p, sum and error bound, is kept for the last
     _ZETA_PASSES (s, spectrum) pairs, the spectrum by identity: Z(s),
     zeta(s) and the motive factors at one s share it, and a repeat call
     returns the same tuple, so its values are those of a fresh pass bit
@@ -875,17 +921,29 @@ def _log_euler_zeta(s: float, sp: LengthSpectrum
     Raises DomainError where a length is so short that N(P)^-s rounds
     to 1, which would make its factor infinite; a refusal is not kept.
     """
-    # where length s overflows to inf, exp gives 0: the exact value is
-    # below the least subnormal there, so 0 is its correct rounding, and
-    # that overflow is not reported
-    with np.errstate(over="ignore"):
-        q = np.exp(sp.lengths * -s)
+    ell, cum = sp.lengths, sp.cum_mults
+    n, cut = ell.size, 0.0
+    if n:
+        cut = ell.item(0) + (math.log(cum.item(-1) / sp.mults.item(0))
+                             + _SERIES_DEPTH) / s
+        n = int(ell.searchsorted(cut, "right"))
+    # no kept length exceeds the cut, so length s overflows to inf only
+    # where cut s does, and only then is numpy told not to report it
+    # (entering np.errstate costs about 1 us a pass): exp then gives 0,
+    # the correct rounding of a value below the least subnormal
+    with (np.errstate(over="ignore") if cut * s == math.inf
+          else contextlib.nullcontext()):
+        q = np.exp(ell[:n] * -s)
     # the lengths increase, so the first q is the largest
-    if q.size and q[0] == 1.0:
+    if n and q[0] == 1.0:
         raise DomainError(
-            f"exp(-{float(sp.lengths[0])!r} s) rounds to 1 at s = {s}: the "
+            f"exp(-{ell.item(0)!r} s) rounds to 1 at s = {s}: the "
             "Euler factor of that length cannot be evaluated as a float")
-    log_inv, err = _log_factors(sp.lengths, s, q, sp.mults)
+    log_inv, err = _log_factors(ell[:n], s, q, sp.mults[:n])
+    if n < ell.size:
+        q_n = _exp_above(ell.item(n) * s)
+        err += ((cum.item(-1) - cum.item(n)) * -math.log1p(-q_n)
+                * (1.0 + 8.0 * _EPS))
     q.flags.writeable = False
     return log_inv, err, q
 
@@ -894,7 +952,9 @@ def euler_zeta(s: float, sp: LengthSpectrum) -> SpecialValue:
     """Simple Euler product prod_P (1 - N(P)^-s)^-1, in log space.
 
     The error estimate bounds the rounding of the terms, their sum and
-    the final exp; the product over the finite spectrum is not truncated.
+    the final exp, and the rows past the cut of _log_euler_zeta, which
+    are not evaluated: together they add less than 2^-60 of the first
+    row's term to log zeta.
     """
     check_euler_s(s, "euler_zeta")
     log_v, err, _ = _log_euler_zeta(s, sp)

@@ -566,16 +566,14 @@ def test_spectrum_bolza_status_to_top_level_out(capsys, tmp_path):
     (b"# genus=1\n# horizon=0\n3.0 2\n", "genus must be >= 2, got 1"),
     (b"# genus=2\n# horizon=0\n3.0 0\n",
      "multiplicity must be >= 1 at length 3.0"),
-    (b"# genus=2\n# horizon=9\n3.0 2\n",
-     "completeness horizon exceeds max recorded length"),
     (b"# genus=2\n# horizon=0\n3.0 2\n3.0000000001 2\n",
      "lengths must increase by more than 1e-09: 3.0 then 3.0000000001"),
     (b"# genus=2\n# horizon=0\n3.0 99999999999999999\n",
      "more than 2**53 classes"),
     (b"# genus=2\n# horizon=3\n3.0 2\ninf 2\n",
      "lengths must be finite, got inf"),
-], ids=["not-utf-8", "genus", "multiplicity", "horizon", "close-lengths",
-        "classes", "infinite-length"])
+], ids=["not-utf-8", "genus", "multiplicity", "close-lengths", "classes",
+        "infinite-length"])
 def test_spectrum_file_refusal_names_the_file(capsys, tmp_path, text,
                                               message):
     spath = tmp_path / "sp.txt"
@@ -585,6 +583,25 @@ def test_spectrum_file_refusal_names_the_file(capsys, tmp_path, text,
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {spath}:0: ")
     assert message in err and err.count("\n") == 1
+
+
+def test_spectrum_file_horizon_past_the_last_length(capsys, tmp_path):
+    """A spectrum complete to length 9 may end before 9: the file loads,
+    and pgt warns of lower bounds only past e^9."""
+    spath = tmp_path / "sp.txt"
+    spath.write_bytes(b"# genus=2\n# horizon=9\n3.0 2\n")
+    code, out, err = run(capsys, "zeta", "eval", "--spectrum", str(spath),
+                         "--s", "2")
+    assert (code, err) == (0, "")
+    assert out.startswith("value = ")
+    code, out, err = run(capsys, "pgt", "--spectrum", str(spath),
+                         "--xmax", "8000", "--points", "3")
+    assert (code, err) == (0, "")
+    code, _, err = run(capsys, "pgt", "--spectrum", str(spath),
+                       "--xmax", "9000", "--points", "3")
+    assert code == 0
+    assert err.startswith("warning: 1 of 3 points lie beyond the "
+                          "completeness horizon exp(9.000000)")
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])

@@ -455,6 +455,16 @@ def test_spectrum_horizon_must_be_finite_and_nonnegative(entries, horizon):
         _spectrum(entries, horizon)
 
 
+@pytest.mark.parametrize("entries", [[], [(3.0, 2)]])
+def test_spectrum_horizon_may_pass_the_last_length(tmp_path, entries):
+    """A spectrum complete to 9 need not have a row at 9; the horizon
+    reads back from its file."""
+    sp = _spectrum(entries, 9.0)
+    path = tmp_path / "sp.txt"
+    save_spectrum(sp, str(path))
+    assert load_spectrum(str(path)).horizon == sp.horizon == 9.0
+
+
 # -- persistence ---------------------------------------------------------
 
 @pytest.mark.parametrize("max_word_len", [5, 7])
@@ -805,6 +815,86 @@ def test_euler_products_within_estimates(lengths, mults, s):
               zeta_motive_numeric(LaurentPoly({-1: 1, 0: -1}), s, sp))
     for sv, ref in zip(values, refs):
         assert float(abs(sv.value - ref)) <= sv.abs_err_estimate
+
+
+@pytest.mark.parametrize("s", [3.0, 4.5, 6.0, 8.0, 30.0])
+def test_zeta_and_motive_vs_mpmath_L7(spectrum7, s):
+    """zeta and the x^-1 - 1 motive on the 3262-row L = 7 spectrum, where
+    the cut leaves rows out, are each within their estimate of a
+    30-digit product over every row."""
+    with mpmath.workdps(30):
+        log_zeta = {t: -_mp_log_euler(t, spectrum7.entries, 1)
+                    for t in (s, s + 1)}
+        refs = (mpmath.exp(log_zeta[s]),
+                mpmath.exp(log_zeta[s + 1] - log_zeta[s]))
+    values = (euler_zeta(s, spectrum7),
+              zeta_motive_numeric(_MOTIVE, s, spectrum7))
+    for sv, ref in zip(values, refs):
+        assert float(abs(sv.value - ref)) <= sv.abs_err_estimate
+
+
+_CUT_ROWS = st.tuples(
+    st.lists(st.tuples(st.floats(0.2, 25.0), st.integers(1, 4)), max_size=3),
+    st.lists(st.tuples(st.floats(30.0, 60.0), st.integers(1, 10 ** 12)),
+             max_size=3)).map(lambda parts: sorted(parts[0] + parts[1])).filter(
+    lambda rows: all(b[0] - a[0] > 1e-6 for a, b in zip(rows, rows[1:])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(entries=_CUT_ROWS,
+       s=st.floats(1.01, 30.0, exclude_min=True))
+def test_euler_products_within_estimates_past_the_cut(entries, s):
+    """On spectra of up to 6 rows, whose rows past length 30 hold up to
+    10^12 classes each, so that the cut moves and the rows past it weigh
+    most, Z, zeta and a motive zeta are each within their estimate of a
+    30-digit product over every row."""
+    sp = _spectrum(entries)
+    with mpmath.workdps(30):
+        log_z = mpmath.fsum(_mp_log_Z_parts(s, entries))
+        log_zeta = {t: -_mp_log_euler(t, entries, 1) for t in (s, s + 1)}
+        refs = (mpmath.exp(log_z), mpmath.exp(log_zeta[s]),
+                mpmath.exp(log_zeta[s + 1] - log_zeta[s]))
+    values = (selberg_Z(s, sp), euler_zeta(s, sp),
+              zeta_motive_numeric(_MOTIVE, s, sp))
+    for sv, ref in zip(values, refs):
+        assert float(abs(sv.value - ref)) <= sv.abs_err_estimate
+
+
+@pytest.mark.parametrize("s", [3.3, 6.0, 30.0])
+def test_rows_past_the_cut_are_in_the_estimates(spectrum7, s):
+    """The rows past the cut of the L = 7 spectrum are not evaluated, and
+    both estimates cover them: zeta's pass error exceeds the rounding
+    bound of the rows kept by at least the exact sum of the rows cut,
+    and Z's truncation bound exceeds that of the rows kept, alone, by at
+    least the exact series of the rows cut."""
+    geodesics._log_euler_zeta.cache_clear()
+    _, err, q = geodesics._log_euler_zeta(s, spectrum7)
+    n = q.size
+    kept, cut = spectrum7.entries[:n], spectrum7.entries[n:]
+    assert cut
+    _, rounding = geodesics._log_factors(spectrum7.lengths[:n], s, q,
+                                         spectrum7.mults[:n])
+    _, trunc, _ = geodesics._log_Z_series(s, spectrum7, math.inf, q)
+    _, kept_trunc, _ = geodesics._log_Z_series(s, _spectrum(kept), math.inf,
+                                               q)
+    with mpmath.workdps(30):
+        zeta_tail, series_tail = (-part for part in _mp_log_Z_parts(s, cut))
+        assert mpmath.mpf(err) - mpmath.mpf(rounding) >= zeta_tail > 0
+        assert mpmath.mpf(trunc) - mpmath.mpf(kept_trunc) >= series_tail > 0
+
+
+def test_pass_stops_at_the_cut(spectrum7, monkeypatch):
+    """The zeta pass takes exp over fewer than 5 % of the L = 7 rows at
+    s = 6, and over every row at s = 1.2."""
+    calls = _count_calls(monkeypatch, "exp")
+    rows = {}
+    for s in (6.0, 1.2):
+        geodesics._log_euler_zeta.cache_clear()
+        calls.clear()
+        euler_zeta(s, spectrum7)
+        rows[s] = sum(np.size(args[0]) for args in calls)
+    assert rows[6.0] < 0.05 * spectrum7.lengths.size
+    assert rows[1.2] == spectrum7.lengths.size
 
 
 def _mp_log_Z_parts(s, entries):

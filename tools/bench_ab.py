@@ -6,10 +6,11 @@
 
 PARENT and CHANGE are source checkouts (clean exports, say) whose
 bench/ and BENCHMARK.json are byte-identical; the script refuses to run
-otherwise.  Both sides run from one fixed directory, a fresh temporary
-one holding PARENT's bench/ and BENCHMARK.json: before each run its
-src/ is replaced by a copy of that side's src/ (byte-code left out) and
-its .bench_work/ is removed, so the two sides differ in src/ alone.
+otherwise, with exit code 2 and the names of the files that differ.
+Both sides run from one fixed directory, a fresh temporary one holding
+PARENT's bench/ and BENCHMARK.json: before each run its src/ is
+replaced by a copy of that side's src/ (byte-code left out) and its
+.bench_work/ is removed, so the two sides differ in src/ alone.
 Each run is `python3 -B bench/run.py --workload W --seed S --seconds T
 --trace 0` with PYTHONDONTWRITEBYTECODE=1, so neither the run nor its
 set-up probes write byte-code; T is BENCHMARK.json's run_seconds.  Each
@@ -112,9 +113,12 @@ def main() -> int:
     args = ap.parse_args()
     sides = {name: Path(getattr(args, name)).resolve()
              for name in ("parent", "change")}
-    if _files(sides["parent"]) != _files(sides["change"]):
-        print("error: the two sides' bench/ or BENCHMARK.json differ",
-              file=sys.stderr)
+    files = [_files(sides[name]) for name in ("parent", "change")]
+    differ = sorted(path for path in files[0].keys() | files[1].keys()
+                    if files[0].get(path) != files[1].get(path))
+    if differ:
+        print("error: the two sides' bench/ or BENCHMARK.json differ: "
+              + ", ".join(differ), file=sys.stderr)
         return 2
     spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
     root = Path(tempfile.mkdtemp(prefix="selbergfe-ab-"))
