@@ -58,12 +58,11 @@ A spectrum file is text: '# key=value' header lines (genus and horizon
 required, source optional), anywhere in the file, and one '<length>
 <multiplicity>' row per other non-blank line, an ASCII decimal float
 and an ASCII decimal int64, in strictly increasing length.
-load_spectrum reads every row in one bulk parse and checks the order in
-one vectorised comparison; it reads the lines one at a time only to
-name the first bad one, once either has failed.  A text is parsed once
-per process: load_spectrum keeps the spectrum of the last file text it
-accepted, and returns it, with its cached Euler weights, for as long
-as the file it reads holds that same text.
+load_spectrum reads the lines one at a time, in one pass, and names the
+first bad one.  A text is parsed once per process: load_spectrum keeps
+the spectrum of the last file text it accepted, and returns it, with
+its cached Euler weights, for as long as the file it reads holds that
+same text.
 """
 from __future__ import annotations
 
@@ -75,7 +74,7 @@ import re
 import tempfile
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, List, NoReturn, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -575,13 +574,6 @@ def save_spectrum(sp: LengthSpectrum, path: str) -> None:
         raise
 
 
-# one data row, as the bulk parse reads it
-_ROW = np.dtype([("length", np.float64), ("mult", np.int64)])
-# a header line, with the newline before it: "\n" + text gives the first
-# line one too.  [^\S\n] is the whitespace str.strip removes, bar "\n".
-_HEADER_LINE = re.compile(r"\n[^\S\n]*#([^\n]*)")
-
-
 # The text of the last file load_spectrum accepted and the spectrum built
 # from it, as one (text, LengthSpectrum) pair assigned in one step; None
 # until a file is accepted.
@@ -601,10 +593,9 @@ def load_spectrum(path: str) -> LengthSpectrum:
     an ASCII decimal integer within int64, neither with underscores.
     Lengths must strictly increase.
 
-    All rows are read by one bulk parse and checked by one vectorised
-    comparison.  Only when either fails are the lines read one at a
-    time, to raise the SpectrumFormatError of the first bad line.  Every
-    other refusal, an undecodable file or a spectrum that LengthSpectrum
+    The lines are read one at a time, in one pass, and the first bad
+    line raises its SpectrumFormatError.  Every other refusal, an
+    undecodable file, a missing header or a spectrum that LengthSpectrum
     refuses, is a SpectrumFormatError of line 0.
 
     A text is parsed once per process: every call reads the file, and
@@ -627,31 +618,32 @@ def load_spectrum(path: str) -> LengthSpectrum:
 
 def _parse_spectrum(path: str, text: str) -> LengthSpectrum:
     """The spectrum of one file's text, as load_spectrum describes it."""
-    pieces = _HEADER_LINE.split("\n" + text)
     headers: dict = {}
-    try:
-        for body in pieces[1::2]:
-            _read_header(body, headers)
-        data = "".join(pieces[0::2])
-        with warnings.catch_warnings():
-            # older numpy reads an int field such as '2.5' through float,
-            # with only a DeprecationWarning; refuse it, as int() does
-            warnings.simplefilter("error", DeprecationWarning)
-            # loadtxt warns on input with no row at all
-            rows = (np.loadtxt(data.split("\n"), dtype=_ROW, comments=None,
-                               ndmin=1) if data.strip()
-                    else np.empty(0, _ROW))
-        lengths = rows["length"]
-        if np.any(lengths[1:] <= lengths[:-1]):
-            raise ValueError("lengths must be strictly increasing")
-    except (ValueError, DeprecationWarning) as exc:
-        _raise_first_bad_line(path, text, exc)
+    lengths: List[float] = []
+    mults: List[int] = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        try:
+            if line.startswith("#"):
+                _read_header(line[1:], headers)
+            elif line:
+                ell, mult = _read_row(line)
+                # a nan length fails every comparison, so it passes this
+                # check before or after another row; LengthSpectrum names it
+                if lengths and ell <= lengths[-1]:
+                    raise ValueError("lengths must be strictly increasing")
+                lengths.append(ell)
+                mults.append(mult)
+        except ValueError as exc:
+            raise SpectrumFormatError(path, lineno, str(exc)) from None
     if "genus" not in headers:
         raise SpectrumFormatError(path, 0, "missing '# genus=' header")
     if "horizon" not in headers:
         raise SpectrumFormatError(path, 0, "missing '# horizon=' header")
     try:
-        return LengthSpectrum(lengths, rows["mult"], genus=headers["genus"],
+        return LengthSpectrum(np.array(lengths),
+                              np.array(mults, dtype=np.int64),
+                              genus=headers["genus"],
                               source=headers.get("source", ""),
                               horizon=headers["horizon"])
     except ValueError as exc:
@@ -676,41 +668,20 @@ def _read_header(body: str, headers: dict) -> None:
         raise ValueError(f"{key}: {exc}") from None
 
 
-def _read_row(line: str) -> float:
-    """The length of one stripped data line; ValueError where load_spectrum
-    refuses the line."""
+def _read_row(line: str) -> Tuple[float, int]:
+    """The length and multiplicity of one stripped data line; ValueError
+    where load_spectrum refuses the line."""
     parts = line.split()
     if len(parts) != 2:
         raise ValueError("expected '<length> <multiplicity>'")
     ell, mult = float(parts[0]), int(parts[1])
     # float and int also read underscores, non-ASCII digits and integers
-    # beyond int64; the bulk parse does not
+    # beyond int64, which a spectrum file does not hold
     if ("_" in line or not (parts[0].isascii() and parts[1].isascii())
             or not -2 ** 63 <= mult < 2 ** 63):
         raise ValueError("expected an ASCII decimal length and an int64 "
                          "multiplicity, without underscores")
-    return ell
-
-
-def _raise_first_bad_line(path: str, text: str,
-                          cause: Exception) -> NoReturn:
-    """Raise the SpectrumFormatError of the first line of text that
-    load_spectrum refuses, reading the lines one at a time."""
-    previous = None
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        try:
-            if line.startswith("#"):
-                _read_header(line[1:], {})
-            elif line:
-                ell = _read_row(line)
-                if previous is not None and ell <= previous:
-                    raise ValueError("lengths must be strictly increasing")
-                previous = ell
-        except ValueError as exc:
-            raise SpectrumFormatError(path, lineno, str(exc)) from None
-    # each line passes alone, so only the bulk parse can have refused them
-    raise SpectrumFormatError(path, 0, str(cause)) from cause
+    return ell, mult
 
 
 # -- Euler products ------------------------------------------------------
@@ -988,8 +959,7 @@ def geodesic_count(x: float, sp: LengthSpectrum) -> int:
     """Number of primitive classes with norm exp(length) <= x."""
     if not x >= 1.0:
         raise DomainError(f"geodesic_count requires x >= 1, got x={x}")
-    rows = np.searchsorted(sp.lengths, math.log(x), side="right")
-    return int(sp.cum_mults[rows])
+    return int(sp.cum_mults[sp.lengths.searchsorted(math.log(x), "right")])
 
 
 def pgt_table(sp: LengthSpectrum,

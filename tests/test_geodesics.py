@@ -543,18 +543,20 @@ _NOT_READ = ("expected an ASCII decimal length and an int64 multiplicity, "
     ("4.0 2 5", "expected '<length> <multiplicity>'"),
     ("4.0,2", "expected '<length> <multiplicity>'"),
     ("4.0 2.0", "invalid literal for int() with base 10: '2.0'"),
+    ("4.0 2.5", "invalid literal for int() with base 10: '2.5'"),
+    ("4.0 1e3", "invalid literal for int() with base 10: '1e3'"),
     ("0x4 2", "could not convert string to float: '0x4'"),
     ("2.0 2", "lengths must be strictly increasing"),
     ("3.0 2", "lengths must be strictly increasing"),
-    # rows that float and int read but the bulk parse does not
+    # rows that float and int read but a spectrum file does not hold
     ("4.0 2_0", _NOT_READ),
     ("4_0.5 2", _NOT_READ),
     ("4.0 \u0662", _NOT_READ),
     ("4.0 99999999999999999999", _NOT_READ),
 ], ids=["inline-comment", "glued-comment", "three-fields", "comma",
-        "float-multiplicity", "hex-length", "decreasing", "repeated",
-        "underscore-multiplicity", "underscore-length", "non-ascii-digit",
-        "beyond-int64"])
+        "float-multiplicity", "fraction", "exponent", "hex-length",
+        "decreasing", "repeated", "underscore-multiplicity",
+        "underscore-length", "non-ascii-digit", "beyond-int64"])
 @pytest.mark.parametrize("after", ["", "5.0 x\n# genus=x\n"],
                          ids=["alone", "before-other-errors"])
 def test_load_names_the_first_bad_row(tmp_path, row, message, after):
@@ -567,38 +569,45 @@ def test_load_names_the_first_bad_row(tmp_path, row, message, after):
     assert str(err.value) == f"{path}:4: {message}"
 
 
-_REAL_LOADTXT = np.loadtxt
+@pytest.mark.parametrize("row, entry", [
+    ("3.0\t2", (3.0, 2)),
+    ("3.0\x0b2", (3.0, 2)),
+    ("3.0\x0c2", (3.0, 2)),
+    ("3.0\x1c2", (3.0, 2)),
+    ("3.0\xa02", (3.0, 2)),
+    ("3.0\u30002", (3.0, 2)),
+    (" \t3.0 \t 2\xa0 ", (3.0, 2)),
+    ("+3.0 +2", (3.0, 2)),
+    ("3. 2", (3.0, 2)),
+    (".5e1 2", (5.0, 2)),
+    ("3.0 02", (3.0, 2)),
+], ids=["tab", "vertical-tab", "form-feed", "file-separator", "nbsp",
+        "ideographic-space", "surrounding-blanks", "plus-signs",
+        "trailing-point", "leading-point", "leading-zero"])
+def test_load_reads_a_row(tmp_path, row, entry):
+    path = tmp_path / "sp.txt"
+    path.write_text(f"# genus=2\n# horizon=2.0\n{row}\n")
+    assert load_spectrum(str(path)).entries == (entry,)
 
 
-def _loadtxt_via_float(lines, dtype, **kwargs):
-    """np.loadtxt as numpy releases with the deprecated fallback run it:
-    an int field that int() refuses is read through float, with only a
-    DeprecationWarning."""
-    warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                  DeprecationWarning, stacklevel=2)
-    as_float = [(name, np.float64) for name in dtype.names]
-    return _REAL_LOADTXT(lines, dtype=as_float, **kwargs).astype(dtype)
-
-
-@pytest.mark.parametrize("row, message", [
-    ("4.0 2.0", "invalid literal for int() with base 10: '2.0'"),
-    ("4.0 2.5", "invalid literal for int() with base 10: '2.5'"),
-    ("4.0 1e3", "invalid literal for int() with base 10: '1e3'"),
-    ("4.0 99999999999999999999", _NOT_READ),
-], ids=["integral-float", "fraction", "exponent", "beyond-int64"])
-@pytest.mark.parametrize("loadtxt", [_REAL_LOADTXT, _loadtxt_via_float],
-                         ids=["numpy", "via-float-fallback"])
-def test_load_refuses_int_via_float_with_warnings_ignored(
-        tmp_path, monkeypatch, row, message, loadtxt):
-    # the warning filter of a CLI run, not the test suite's "error"
-    monkeypatch.setattr(np, "loadtxt", loadtxt)
+@pytest.mark.parametrize("rows, message", [
+    ("inf 2", "lengths must be finite, got inf"),
+    ("Infinity 2", "lengths must be finite, got inf"),
+    ("1e400 2", "lengths must be finite, got inf"),
+    ("3.0 -0", "multiplicity must be >= 1 at length 3.0"),
+    ("nan 2\n5.0 2", "lengths must be finite, got nan"),
+    ("3.0 2\nnan 2\n5.0 2", "lengths must be finite, got nan"),
+], ids=["inf", "infinity", "overflow", "minus-zero", "nan-first",
+        "nan-between"])
+def test_load_leaves_row_values_to_the_spectrum(tmp_path, rows, message):
+    """Rows that parse but that LengthSpectrum refuses are refused as
+    line 0: a nan length passes the order check before or after another
+    row."""
     path = tmp_path / "bad.txt"
-    path.write_text(f"# genus=2\n# horizon=2.0\n3.0 2\n{row}\n5.0 2\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(SpectrumFormatError) as err:
-            load_spectrum(str(path))
-    assert str(err.value) == f"{path}:4: {message}"
+    path.write_text(f"# genus=2\n# horizon=2.0\n{rows}\n")
+    with pytest.raises(SpectrumFormatError) as err:
+        load_spectrum(str(path))
+    assert str(err.value) == f"{path}:0: {message}"
 
 
 def test_load_names_a_bad_header_before_a_bad_row(tmp_path):
@@ -642,7 +651,7 @@ def test_load_line_endings(tmp_path, spectrum5, newline):
 
 
 class _Parsed(Exception):
-    """Raised by a stand-in for np.loadtxt: the text was parsed."""
+    """Raised by a stand-in for _parse_spectrum: the text was parsed."""
 
 
 def _refuse_to_parse(*args, **kwargs):
@@ -659,7 +668,7 @@ def test_load_reuses_the_spectrum_of_the_same_text(spectrum5, tmp_path,
     save_spectrum(spectrum5, str(path))
     first = load_spectrum(str(path))
     selberg_Z(2.0, first)
-    monkeypatch.setattr(np, "loadtxt", _refuse_to_parse)
+    monkeypatch.setattr(geodesics, "_parse_spectrum", _refuse_to_parse)
     copy = tmp_path / "copy.txt"
     copy.write_bytes(path.read_bytes())
     for again in (load_spectrum(str(path)), load_spectrum(str(copy))):
