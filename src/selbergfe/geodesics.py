@@ -36,8 +36,9 @@ multiplicities and cumulative multiplicities.  The Euler products and
 the counts are array arithmetic over them.  Z is summed as log Z(s) =
 -log zeta(s) minus a power series in y = q r, q = exp(-length s) and
 r = exp(-length), with one exp pass per s: log zeta's q is reused, and
-r and the first power's weights m r / (1 - r), which do not depend on
-s, are derived once per spectrum, on the first Euler product.  That
+r and the weights of each power, m r / (1 - r) for the first and
+m / expm1(-k length) for the k-th, which do not depend on s, are derived
+once per spectrum, on the first Euler product that reaches them.  That
 pass stops at a cut, found by one searchsorted: the rows past
 l_0 + (ln(C / m_0) + 60 ln 2) / s, with C classes in all and l_0 and
 m_0 the first row's length and multiplicity, add less than 2^-60 of
@@ -47,27 +48,28 @@ The zeta pass itself (exp, log1p, sum and error bound) is kept for the
 last 4 (spectrum, s) pairs, so Z(s), Z(s + 1), zeta(s) and the motive
 factors at those points share it; a kept pass is returned as it was
 computed, so every value and estimate is bit-identical to a fresh one.
-Each later power is one short pass over a shrinking prefix of the
-rows, and the rows it drops have their tails bounded by one dot
-product.  Each Euler product's error estimate bounds the floating-point
-rounding of its terms, sums and final exp, plus the rows past the cut
-and, for Z, the truncation of that series; the spectrum itself is
-finite, which its completeness horizon discloses.
+Each later power is one product with its weights over a shrinking
+prefix of the rows, and the rows it drops have their tails bounded by
+one dot product.  Each Euler product's error estimate bounds the
+floating-point rounding of its terms, sums and final exp, plus the rows
+past the cut and, for Z, the truncation of that series; the spectrum
+itself is finite, which its completeness horizon discloses.
 
 A spectrum file is text: '# key=value' header lines (genus and horizon
 required, source optional), anywhere in the file, and one '<length>
 <multiplicity>' row per other non-blank line, an ASCII decimal float
 and an ASCII decimal int64, in strictly increasing length.
 load_spectrum reads the lines one at a time, in one pass, and names the
-first bad one.  A text is parsed once per process: load_spectrum keeps
-the spectrum of the last file text it accepted, and returns it, with
-its cached Euler weights, for as long as the file it reads holds that
-same text.
+first bad one.  A file is parsed once per process: load_spectrum keeps
+the spectrum of the last file it accepted, keyed by the file's bytes,
+and returns it, with its cached Euler weights, for as long as the file
+it reads holds those same bytes.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import math
 import os
 import re
@@ -109,7 +111,9 @@ class LengthSpectrum:
     element per row, and `cum_mults`, one element more: cum_mults[i] is
     the number of classes in the first i rows, exact below 2**53.
     `entries`, the rows as (float, int) pairs, and `euler_weights`, two
-    more read-only arrays for selberg_Z, are built on first read.
+    more read-only arrays for selberg_Z, are built on first read, and
+    `power_weights(k)`, one read-only array per later power of its
+    series, on first use; all live as long as the spectrum.
     `horizon`, the length up to which the rows are complete, is finite
     and >= 0, and may lie past the last length: a spectrum complete to
     a length need not have a row there.
@@ -172,6 +176,26 @@ class LengthSpectrum:
         w /= -np.expm1(-self.lengths)
         r.flags.writeable = w.flags.writeable = False
         return r, w
+
+    @functools.cached_property
+    def _power_tables(self) -> dict:
+        return {}
+
+    def power_weights(self, k: int) -> np.ndarray:
+        """mult / expm1(-k length), read-only, the part of power k >= 2 of
+        selberg_Z's series that does not depend on s: one element per row
+        that the power reaches at some s the domain admits, the rows with
+        (k - 1)(s + 1) length <= _SERIES_DEPTH at the least such s, found
+        as _log_Z_series finds them.  Built on first use, once per k."""
+        table = self._power_tables.get(k)
+        if table is None:
+            x = math.nextafter(_EULER_S_EDGE, math.inf) + 1.0
+            n = int(self.lengths.searchsorted(_SERIES_DEPTH / ((k - 1) * x),
+                                              "right"))
+            table = self.mults[:n] / np.expm1(self.lengths[:n] * -k)
+            table.flags.writeable = False
+            self._power_tables[k] = table
+        return table
 
     def total_classes(self) -> int:
         return int(self.cum_mults[-1])
@@ -574,10 +598,10 @@ def save_spectrum(sp: LengthSpectrum, path: str) -> None:
         raise
 
 
-# The text of the last file load_spectrum accepted and the spectrum built
-# from it, as one (text, LengthSpectrum) pair assigned in one step; None
+# The bytes of the last file load_spectrum accepted and the spectrum built
+# from them, as one (bytes, LengthSpectrum) pair assigned in one step; None
 # until a file is accepted.
-_LOADED: Optional[Tuple[str, LengthSpectrum]] = None
+_LOADED: Optional[Tuple[bytes, LengthSpectrum]] = None
 
 
 def load_spectrum(path: str) -> LengthSpectrum:
@@ -598,21 +622,24 @@ def load_spectrum(path: str) -> LengthSpectrum:
     undecodable file, a missing header or a spectrum that LengthSpectrum
     refuses, is a SpectrumFormatError of line 0.
 
-    A text is parsed once per process: every call reads the file, and
-    when its decoded text equals that of the last file accepted, returns
-    the spectrum built then, which is frozen and read-only.  The result
-    depends on the text alone; path only names the file in errors, and
-    no refusal is kept.
+    A file is parsed once per process: every call reads the file's
+    bytes, and when they equal those of the last file accepted, returns
+    the spectrum built then, which is frozen and read-only.  Other bytes
+    are decoded as open(path) would decode them, in the locale's
+    encoding with universal newlines, and parsed.  The result depends on
+    the bytes alone; path only names the file in errors, and no refusal
+    is kept.
     """
     global _LOADED
-    with open(path) as fh:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    loaded = _LOADED
+    if loaded is None or loaded[0] != raw:
         try:
-            text = fh.read()
+            text = io.TextIOWrapper(io.BytesIO(raw)).read()
         except UnicodeDecodeError as exc:
             raise SpectrumFormatError(path, 0, str(exc)) from None
-    loaded = _LOADED
-    if loaded is None or loaded[0] != text:
-        loaded = _LOADED = (text, _parse_spectrum(path, text))
+        loaded = _LOADED = (raw, _parse_spectrum(path, text))
     return loaded[1]
 
 
@@ -690,6 +717,8 @@ def _read_row(line: str) -> Tuple[float, int]:
 # y^k is still above 2^-60 of y, i.e. while (k - 1)(s + 1) length <= this:
 # the tail beyond it is then far below the rounding of the row's first term.
 _SERIES_DEPTH = 60.0 * math.log(2.0)
+# The Euler products need s above this (check_euler_s).
+_EULER_S_EDGE = 1.0 + 1e-3
 
 
 def _exp_above(x: float) -> float:
@@ -738,11 +767,14 @@ def _log_Z_series(s: float, sp: LengthSpectrum, limit: float,
     sums m y^k / expm1(-k length), with -1/k applied to the sum, over
     the rows with (k - 1)(s + 1) length <= _SERIES_DEPTH, a prefix of
     the sorted lengths found by one searchsorted; it lies within the cut,
-    which is past _SERIES_DEPTH / s.  A row dropped after K terms leaves
-    at most m y^(K+1) / ((K+1)(1 - r)(1 - y)), since 1 - r^k >= 1 - r
-    and 1/k <= 1/(K+1).  The rows dropped together are bounded by one
-    dot, sum m y^(K+1), over the r and y of the first of them: they are
-    the largest there, as the lengths increase.  The rows past the cut,
+    which is past _SERIES_DEPTH / s, and within sp.power_weights(k),
+    which covers the prefix at every s the domain admits (RuntimeError
+    otherwise, never a shorter pass).  Its terms are y^k, one product by
+    y on from the last pass's, times that table.  A row dropped after K
+    terms leaves at most m y^(K+1) / ((K+1)(1 - r)(1 - y)), since 1 -
+    r^k >= 1 - r and 1/k <= 1/(K+1).  The rows dropped together are
+    bounded by one dot, sum m y^(K+1), over the r and y of the first of
+    them: they are the largest there, as the lengths increase.  The rows past the cut,
     n on, are dropped after K = 0 terms, and bounded with no pass over
     them: (C - C_n) y_n / ((1 - r_n)(1 - y_n)), C - C_n classes from
     cum_mults, with y_n from above by _exp_above and the bound taken
@@ -752,13 +784,15 @@ def _log_Z_series(s: float, sp: LengthSpectrum, limit: float,
     eps (length s + 1) of itself, r and 1 - r = -expm1(-length) by eps
     each and w, after a product and a division, by 3 eps, so the pass 1
     term w q is off by eps (x + 4.5).  y = q r is off by eps (x + 2.5),
-    and y^k, made by k - 1 more products, by eps k (x + 3); the product
-    by m, expm1(-k length), whose condition number is at most 1, and the
-    division add eps (1/2 + 3/2 + 1/2).  Every term is therefore off by
-    at most eps (k (x + 3) + 3) of itself.  Every term is positive, so
-    each pass's pairwise sum adds eps / 2 of the pass total per
-    rounding, counted as in _log_factors; -1/k and the product by it
-    add eps of it, and the fsum over passes eps / 2 of the whole.
+    and y^k, made by k - 1 more products, by eps k (x + 3).  The table
+    entry m / expm1(-k length), divided once when it is built, is off by
+    eps (3/2 + 1/2): the rounding of k length and of expm1, whose
+    condition number is at most 1, then the division.  The one product
+    per pass adds eps / 2, so every term is off by at most eps (k (x +
+    3) + 3) of itself.  Every term is positive, so each pass's pairwise
+    sum adds eps / 2 of the pass total per rounding, counted as in
+    _log_factors; -1/k and the product by it add eps of it, and the fsum
+    over passes eps / 2 of the whole.
 
     Raises DomainError once the passes so far sum to more than limit,
     which selberg_Z sets where Z would underflow: every term is
@@ -780,8 +814,11 @@ def _log_Z_series(s: float, sp: LengthSpectrum, limit: float,
         head = ell[:n]
         if k > 1:
             # m y^k / (r^k - 1): the k-th terms times -k
-            term = mult[:n] * yk
-            term /= np.expm1(head * -k)
+            weights = sp.power_weights(k)
+            if weights.size < n:
+                raise RuntimeError(f"power_weights({k}) holds {weights.size} "
+                                   f"rows, and pass {k} at s = {s} needs {n}")
+            term = weights[:n] * yk
             scale = -1.0 / k
         part = scale * float(term.sum())
         series.append(part)
@@ -817,11 +854,11 @@ def check_euler_s(s: float, name: str,
     # NaN and inf fail too: NaN would never end selberg_Z's series loop,
     # and inf makes the rounding bounds inf * 0
     if f is None:
-        if not 1.0 + 1e-3 < s < math.inf:
+        if not _EULER_S_EDGE < s < math.inf:
             raise DomainError(f"{name} requires 1 + 1e-3 < s < inf, got s={s}")
         return
     for k in f.support():
-        if not 1.0 + 1e-3 < s - k < math.inf:
+        if not _EULER_S_EDGE < s - k < math.inf:
             raise DomainError(
                 f"motive factor k={k} needs 1 + 1e-3 < s - k < inf, "
                 f"got s - k = {s - k}")
@@ -837,11 +874,12 @@ def selberg_Z(s: float, sp: LengthSpectrum) -> SpecialValue:
     (k (1 - r_i^k)), y_i = q_i r_i, q_i = exp(-l_i s), r_i = exp(-l_i):
     the n = 0 factors are euler_zeta's, and expanding log(1 - q) and
     summing n >= 1 as a geometric series gives the rest.  q is formed
-    once, for both sums; r and the first pass's weights m r / (1 - r)
-    do not depend on s and are formed once per spectrum.  Each row keeps
-    its terms while the next is above 2^-60 of its first
-    (_log_Z_series), and only the rows up to the cut of
-    _log_euler_zeta are evaluated.  The error estimate covers the error
+    once, for both sums; r and the weights of each power k, m r / (1 -
+    r) for k = 1 and m / expm1(-k length) after it, do not depend on s
+    and are formed once per spectrum, so each power costs one product
+    with its weights.  Each row keeps its terms while the next is above
+    2^-60 of its first (_log_Z_series), and only the rows up to the cut
+    of _log_euler_zeta are evaluated.  The error estimate covers the error
     of log zeta, the truncation of the rows' series (geometric tails,
     bounded together for the rows dropped at one pass and for the rows
     past the cut) and their rounding, and the rounding of the final

@@ -696,8 +696,8 @@ def _refuse_to_parse(*args, **kwargs):
 
 def test_load_reuses_the_spectrum_of_the_same_text(spectrum5, tmp_path,
                                                     monkeypatch):
-    """Once a text is loaded, the same text, at its path or at another,
-    returns the same object, Euler weights included, and is not parsed;
+    """Once a file is loaded, the same bytes, at its path or at another,
+    return the same object, Euler weights included, and are not parsed;
     one digit changed in one row, with the file size kept, is parsed."""
     monkeypatch.setattr(geodesics, "_LOADED", None)
     path = tmp_path / "sp.txt"
@@ -964,9 +964,14 @@ def _log_Z_series(s, sp):
                                    geodesics._log_euler_zeta(s, sp)[2])
 
 
-@pytest.mark.parametrize("s", [1.0011, 1.2, 2.21, 3.0, 5.0, 8.0, 30.0])
+# the least s that the Euler products admit
+_S_EDGE = math.nextafter(1.001, 2)
+
+
+@pytest.mark.parametrize("s", [_S_EDGE, 1.0011, 1.2, 2.21, 3.0, 5.0, 8.0,
+                               30.0])
 def test_selberg_Z_vs_mpmath_L7(spectrum7, s):
-    """Z on the 3262-row L = 7 spectrum, from next to the domain edge to
+    """Z on the 3262-row L = 7 spectrum, from the domain edge to
     where the n >= 1 series has one term, is within its estimate of a
     30-digit double product, an estimate below 1e-13 of Z.  The series of
     the n >= 1 factors alone is within its truncation and rounding
@@ -1013,6 +1018,19 @@ def test_selberg_Z_truncation_bound_several_rows(s):
             tail += m * mpmath.nsum(lambda k: y ** k / (k * (1 - r ** k)),
                                     [K + 1, mpmath.inf])
     assert tail <= trunc <= 4 * tail
+
+
+def test_selberg_Z_at_the_domain_edge_on_a_short_row():
+    """At the least s the domain admits, a 0.05-length row takes 416
+    powers, each read from its per-spectrum weights: Z is within its
+    estimate of a 30-digit double product."""
+    rows = [(0.05, 2), (BOLZA_LENGTH, 4)]
+    sp = _spectrum(rows)
+    with mpmath.workdps(30):
+        ref = mpmath.exp(mpmath.fsum(_mp_log_Z_parts(_S_EDGE, rows)))
+    sv = selberg_Z(_S_EDGE, sp)
+    assert float(abs(sv.value - ref)) <= sv.abs_err_estimate < 1e-12 * sv.value
+    assert max(vars(sp)["_power_tables"]) == 416
 
 
 def test_telescoping_seeded_L7(spectrum7):
@@ -1199,6 +1217,52 @@ def test_two_spectra_at_one_point_keep_two_passes(spectrum5, monkeypatch):
     assert values[2] == pytest.approx(1.0 / ((1 - math.exp(-4.0)) ** 2
                                              * (1 - math.exp(-6.0)) ** 4),
                                       rel=1e-15)
+
+
+# -- the per-spectrum weights of the series' powers ----------------------
+
+def test_power_weights_serve_a_new_point(spectrum5, monkeypatch):
+    """Once Z at s = 1.2 has built the weights of every power it takes,
+    Z at new points, whose powers are among those, runs np.expm1 on no
+    row array, and reads the same tables."""
+    sp = _spectrum(spectrum5.entries, spectrum5.horizon)
+    selberg_Z(1.2, sp)
+    tables = dict(vars(sp)["_power_tables"])
+    assert sorted(tables) == list(range(2, len(tables) + 2))
+    calls = _count_calls(monkeypatch, "expm1")
+    for s in (1.25, 2.0, 4.5):
+        selberg_Z(s, sp)
+    assert calls == []
+    assert all(sp.power_weights(k) is table for k, table in tables.items())
+
+
+def test_power_weights_are_read_only(spectrum5):
+    sp = _spectrum(spectrum5.entries, spectrum5.horizon)
+    table = sp.power_weights(2)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0.0
+    np.testing.assert_allclose(
+        table, sp.mults[:table.size] / np.expm1(-2 * sp.lengths[:table.size]),
+        rtol=1e-15)
+
+
+def test_power_weights_built_once_per_spectrum(spectrum5, monkeypatch):
+    """A spectrum builds each power's weights once; a twin with equal rows,
+    a spectrum of its own, builds its own."""
+    sp, twin = (_spectrum(spectrum5.entries, spectrum5.horizon)
+                for _ in range(2))
+    calls = _count_calls(monkeypatch, "expm1")
+    selberg_Z(2.0, sp)
+    built = len(calls)   # euler_weights' and one per power k >= 2
+    assert built == len(vars(sp)["_power_tables"]) + 1 > 2
+    selberg_Z(2.0, sp)
+    selberg_Z(3.0, sp)
+    assert len(calls) == built
+    selberg_Z(2.0, twin)
+    assert len(calls) == 2 * built
+    for k in vars(sp)["_power_tables"]:
+        mine, its = sp.power_weights(k), twin.power_weights(k)
+        assert mine is not its and mine.tobytes() == its.tobytes()
 
 
 # -- counting ------------------------------------------------------------

@@ -44,3 +44,20 @@ def test_tier1_ab_help():
     proc = _tool(TOOLS / "tier1_ab.py", "--help")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("usage: ") and "--pairs" in proc.stdout
+
+
+def test_op_ab_refuses_sides_whose_bench_differs(tmp_path):
+    """The refusal of bench_ab.py, before any op is timed."""
+    parent = _checkout(tmp_path / "parent", {"run.py": "A = 1\n"})
+    change = _checkout(tmp_path / "change", {"run.py": "A = 2\n"})
+    proc = _tool(TOOLS / "op_ab.py", parent, change,
+                 "--workload", "euler_products")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: the two sides' bench/ or BENCHMARK.json "
+                           "differ: bench/run.py\n")
+
+
+def test_op_ab_help():
+    proc = _tool(TOOLS / "op_ab.py", "--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: ") and "--workload" in proc.stdout

@@ -46,13 +46,41 @@ def _files(checkout: Path) -> dict:
     return out
 
 
-def _run(root: Path, src: Path, args, seconds: float) -> dict:
+def differing(sides: dict) -> list:
+    """The SHARED files, by relative path, that differ between the
+    "parent" and "change" checkouts, or are on one side only."""
+    files = [_files(sides[name]) for name in ("parent", "change")]
+    return sorted(path for path in files[0].keys() | files[1].keys()
+                  if files[0].get(path) != files[1].get(path))
+
+
+def shared_root(parent: Path) -> Path:
+    """A fresh temporary directory holding parent's SHARED files."""
+    root = Path(tempfile.mkdtemp(prefix="selbergfe-ab-"))
+    for name in SHARED:
+        source = parent / name
+        if source.is_dir():
+            shutil.copytree(source, root / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(source, root / name)
+    return root
+
+
+def swap_in(root: Path, src: Path) -> dict:
+    """Replace root's src/ by a copy of src (byte-code left out), remove
+    its .bench_work/, and return the environment a run takes there."""
     shutil.rmtree(root / "src", ignore_errors=True)
     shutil.rmtree(root / ".bench_work", ignore_errors=True)
     shutil.copytree(src, root / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
+    return env
+
+
+def _run(root: Path, src: Path, args, seconds: float) -> dict:
+    env = swap_in(root, src)
     proc = subprocess.run(
         [sys.executable, "-B", "bench/run.py", "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"],
@@ -113,24 +141,15 @@ def main() -> int:
     args = ap.parse_args()
     sides = {name: Path(getattr(args, name)).resolve()
              for name in ("parent", "change")}
-    files = [_files(sides[name]) for name in ("parent", "change")]
-    differ = sorted(path for path in files[0].keys() | files[1].keys()
-                    if files[0].get(path) != files[1].get(path))
+    differ = differing(sides)
     if differ:
         print("error: the two sides' bench/ or BENCHMARK.json differ: "
               + ", ".join(differ), file=sys.stderr)
         return 2
     spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
-    root = Path(tempfile.mkdtemp(prefix="selbergfe-ab-"))
+    root = shared_root(sides["parent"])
     runs = []
     try:
-        for name in SHARED:
-            source = sides["parent"] / name
-            if source.is_dir():
-                shutil.copytree(source, root / name,
-                                ignore=shutil.ignore_patterns("__pycache__"))
-            else:
-                shutil.copy2(source, root / name)
         for pair in range(args.pairs):
             for side in sorted(sides, reverse=pair % 2 == 1):
                 runs.append(dict(pair=pair, side=side, **_run(
