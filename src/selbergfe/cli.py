@@ -250,11 +250,9 @@ def _cmd_pgt(args, out: _Output) -> int:
                          f"got {args.xmax}")
     sp = geodesics.load_spectrum(args.spectrum)
     hi = math.log(args.xmax)
-    if args.points == 1:
-        xs = [args.xmax]
-    else:
-        xs = [math.exp(lo + (hi - lo) * i / (args.points - 1))
-              for i in range(args.points)]
+    # e^lo first, then log-spaced, and the last point is --xmax itself
+    xs = [math.exp(lo + (hi - lo) * i / (args.points - 1))
+          for i in range(args.points - 1)] + [args.xmax]
     rows = geodesics.pgt_table(sp, xs)
     out.write("x,count,x_over_logx,ratio")
     for x, count, approx, ratio in rows:

@@ -87,13 +87,12 @@ from .special import (_EPS, _FLOAT_MIN, DomainError, SpecialValue,
 _TRACE_TOL = 1e-9
 _LENGTH_MERGE_TOL = 1e-9
 _MAX_WORD_LEN = 15  # word codes use 4 bits per letter in a 64-bit int
-# Peak memory of an enumeration per word of its last frontier: 62.7 to
-# 63.6 bytes measured at L = 8 (413 to 419 MB of ru_maxrss above the
-# interpreter's own for 8*7^7 words, numpy 2.4, CPython 3.11), rounded
-# up.  The last frontier is 48 bytes a word (one 2x2 float64 matrix and
-# two int64 codes), written in place; the frontier before it, a 7th of
-# the size, and one letter's gathered matrices and renormalization
-# temporaries, an 8th, make up the rest.
+# Peak memory of an enumeration per word of its last frontier: 61.5
+# bytes measured at L = 8 (405 MB of ru_maxrss above the interpreter's
+# own for 8*7^7 words, numpy 2.4, CPython 3.11), rounded up.  The last
+# frontier is 48 bytes a word (one 2x2 float64 matrix and two int64
+# codes), written in place; the frontier before it, a 7th of the size,
+# and one letter's gathered matrices, an 8th, make up the rest.
 _PEAK_BYTES_PER_WORD = 64
 # Words classified at a time: the classification's temporaries are a
 # chunk in size, whatever the word length.
@@ -371,12 +370,11 @@ def _frontiers(letters: np.ndarray, max_len: int
     an array such as bolza_group() returns.  codes packs a word
     w_1..w_n as sum w_i 16^(n-i), first letter highest; inv packs its
     inverse word (w_n ^ 1)..(w_1 ^ 1) the same way; mats holds the
-    product of its letter matrices, renormalized to determinant 1 when
-    it drifts.  Words of length n are the words of length n - 1
-    extended by each letter in turn, one block per letter, so the
-    frontier is in ascending order of its reversed words w_n..w_1,
-    whose codes are inv ^ 0x11..1.  Each block is written straight
-    into the preallocated arrays of the next frontier.
+    product of its letter matrices.  Words of length n are the words of
+    length n - 1 extended by each letter in turn, one block per letter,
+    so the frontier is in ascending order of its reversed words
+    w_n..w_1, whose codes are inv ^ 0x11..1.  Each block is written
+    straight into the preallocated arrays of the next frontier.
     """
     codes = np.arange(letters.shape[0], dtype=np.int64)
     inv = codes ^ 1
@@ -401,14 +399,8 @@ def _frontiers(letters: np.ndarray, max_len: int
             np.compress(mask, inv, out=block_i)
             block_i |= (letter ^ 1) << top
             # np.compress gathers the same rows as mats[mask], 3x faster
-            block_m = np.matmul(np.compress(mask, mats, axis=0),
-                                letters[letter], out=new_mats[begin:end])
-            det = (block_m[:, 0, 0] * block_m[:, 1, 1]
-                   - block_m[:, 0, 1] * block_m[:, 1, 0])
-            # x / 1.0 == x exactly, so only the drifted matrices change;
-            # one full division is 3x faster than a masked read-modify-write
-            block_m /= np.where(np.abs(det - 1.0) > 1e-13, np.sqrt(det),
-                                1.0)[:, None, None]
+            np.matmul(np.compress(mask, mats, axis=0), letters[letter],
+                      out=new_mats[begin:end])
             begin = end
         codes, inv, mats = new_codes, new_inv, new_mats
         yield n, codes, inv, mats

@@ -407,7 +407,7 @@ def test_spectrum_bolza_golden_output(capsys, tmp_path):
     code, out, err = run(capsys, "spectrum", "bolza",
                          "--max-word-len", "6", "--out", spath)
     assert (code, err) == (0, "")
-    assert out == (f"wrote 466 length entries (23636 classes) to {spath}\n"
+    assert out == (f"wrote 421 length entries (23636 classes) to {spath}\n"
                    "systole = 3.0571418389619871e+00\n"
                    "horizon = 3.0571418389619871e+00\n")
 
@@ -602,6 +602,26 @@ def test_spectrum_file_horizon_past_the_last_length(capsys, tmp_path):
     assert code == 0
     assert err.startswith("warning: 1 of 3 points lie beyond the "
                           "completeness horizon exp(9.000000)")
+
+
+@pytest.mark.parametrize("xmax, last", [
+    ("30000", "3.0000000000000000e+04"),
+    ("1e300", "1.0000000000000001e+300"),   # the double nearest 1e300
+])
+@pytest.mark.parametrize("points", ["1", "2", "5"])
+def test_pgt_last_point_is_xmax(capsys, tmp_path, xmax, last, points):
+    """The last row is counted at --xmax itself, not at exp(log(xmax)),
+    and the first, given two points or more, at e^1.1."""
+    spath = tmp_path / "sp.txt"
+    spath.write_bytes(b"# genus=2\n# horizon=9\n3.0 2\n")
+    code, out, _ = run(capsys, "pgt", "--spectrum", str(spath),
+                       "--xmax", xmax, "--points", points)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == int(points)
+    assert rows[-1].split(",")[0] == last
+    if points != "1":
+        assert rows[0].split(",")[0] == f"{math.exp(1.1):.16e}"
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])

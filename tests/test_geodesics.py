@@ -303,16 +303,17 @@ def test_spectrum_memory_checked_before_allocating(bolza, monkeypatch):
 
 # SHA-256 of the file save_spectrum writes for the Bolza spectrum at
 # L = 1..7; L = 7 is the spectrum the benchmark's Euler products read.
-# They pin the enumeration's output byte for byte, and change
-# on purpose only when the classification of words changes.
+# They pin the enumeration's output byte for byte, and change on
+# purpose only when the classification of words or the float lengths
+# of its rows change.
 SPECTRUM_SHA256 = {
     1: "1962cdaf940340da9bee9a1e5d1caa980ab19952ec7a4f43b7cf0037a697b7a6",
     2: "a01c3132a0bceb983cb338285d33165b5301612ad69eb0bafcc60d0f66f229c3",
-    3: "f78515df3b603051c8f54e13b4a1f47b8ae8dd97ff1d0b394653e5c1771ae8d9",
-    4: "1c38b3a807b49cc33de8541783ef17e6ab841039c22e08cde3b16f5982b8c6e4",
-    5: "0027f36db1a6cd281881687eff26a5e5c1f9a0f2ba1651bab6fded157fe0e253",
-    6: "cda892d10954233d87f4962d0c593c8ff9f339126b04d85081f175940e9c556f",
-    7: "4b71dac66c3fd437cdbacb7cdd17eddaa124caa6b4a4104b5cfb95a25b49e5f0",
+    3: "a679852154ec850ff07ec945369b3451316a7904d27543c9aa07a5704fd0fb05",
+    4: "8913b569d86033a9561436afa5eeb6da87d0dd04e47238beadcdcc829c8bb861",
+    5: "fcea2d5164e91219b25e1bac5b55f347aab366f6bd313b342a36f9e24511738c",
+    6: "8fa2ab5ebbca8a5cdbf7e1f6ff9ea5ae9036dbc1bddacfb163d39a774288a7d8",
+    7: "2d81f372b303d5a921b801e7ec8bec2b7b162a9ae775045f063f1e5b5a7e7268",
 }
 
 
@@ -336,6 +337,64 @@ def test_spectrum_independent_of_chunk(bolza, tmp_path, monkeypatch):
     monkeypatch.setattr(geodesics, "_CLASSIFY_CHUNK", 7)
     digest = _spectrum_sha256(enumerate_spectrum(bolza, 5), tmp_path)
     assert digest == SPECTRUM_SHA256[5]
+
+
+def _exact_rows(max_len):
+    """The spectrum rows of the word classes up to max_len, keyed exactly.
+
+    Every freely reduced word, a row of letters, is built column by
+    column; a cyclically reduced word that no proper rotation leaves
+    unchanged is kept, and its class is the least of the rotations of
+    the word and of its inverse word, read as base-8 digits, first
+    letter highest (lexicographic order, as the tuples of
+    test_class_firsts_against_tuple_rotations compare).  Each class's
+    least word is multiplied out by exact_product and keyed by
+    exact_trace_key.  Returns {(m, n): 2 * classes of that key}, each
+    class standing for a geodesic and its reverse.  No word shorter than
+    the 8-letter relator is +-I, so every key is hyperbolic.
+    """
+    letters = bolza_group_exact()
+    rows = {}
+    words = np.arange(8)[:, None]
+    for n in range(1, max_len + 1):
+        if n > 1:
+            ext = np.column_stack([np.repeat(words, 8, axis=0),
+                                   np.tile(np.arange(8), len(words))])
+            words = ext[ext[:, -2] != (ext[:, -1] ^ 1)]
+        w = words[words[:, 0] != (words[:, -1] ^ 1)]
+        weights = 8 ** np.arange(n - 1, -1, -1)
+        code = w @ weights
+        periodic = np.zeros(len(w), dtype=bool)
+        least = code
+        for word in (w, (w ^ 1)[:, ::-1]):
+            for r in range(n):
+                rot = np.roll(word, -r, axis=1) @ weights
+                least = np.minimum(least, rot)
+                if word is w and r:
+                    periodic |= rot == code
+        firsts = np.unique(least[~periodic])
+        digits = firsts[:, None] // weights % 8
+        g = letters[digits[:, 0]]
+        for column in digits[:, 1:].T:
+            g = exact_product(g, letters[column])
+        for key in map(tuple, exact_trace_key(g).tolist()):
+            rows[key] = rows.get(key, 0) + 2
+    return rows
+
+
+@pytest.mark.parametrize("max_word_len", [5, 6])
+def test_spectrum_rows_are_the_exact_trace_keys(bolza, max_word_len):
+    """The float rows are the rows of the words' exact traces: one row per
+    distinct key (m, n), with 2 per class of that key, and each length
+    within 1e-13 of 2 acosh((m + n sqrt2) / 2)."""
+    rows = _exact_rows(max_word_len)
+    exact = sorted((2 * math.acosh((m + n * math.sqrt(2)) / 2), mult)
+                   for (m, n), mult in rows.items())
+    sp = enumerate_spectrum(bolza, max_word_len)
+    assert len(sp.lengths) == len(exact)
+    assert sp.mults.tolist() == [mult for _, mult in exact]
+    error = np.abs(sp.lengths - [ell for ell, _ in exact]).max()
+    assert error <= 1e-13
 
 
 def test_spectrum_multiplicities_even(spectrum5):
@@ -864,7 +923,7 @@ def test_euler_products_within_estimates(lengths, mults, s):
 
 @pytest.mark.parametrize("s", [3.0, 4.5, 6.0, 8.0, 30.0])
 def test_zeta_and_motive_vs_mpmath_L7(spectrum7, s):
-    """zeta and the x^-1 - 1 motive on the 3262-row L = 7 spectrum, where
+    """zeta and the x^-1 - 1 motive on the 1314-row L = 7 spectrum, where
     the cut leaves rows out, are each within their estimate of a
     30-digit product over every row."""
     with mpmath.workdps(30):
@@ -971,7 +1030,7 @@ _S_EDGE = math.nextafter(1.001, 2)
 @pytest.mark.parametrize("s", [_S_EDGE, 1.0011, 1.2, 2.21, 3.0, 5.0, 8.0,
                                30.0])
 def test_selberg_Z_vs_mpmath_L7(spectrum7, s):
-    """Z on the 3262-row L = 7 spectrum, from the domain edge to
+    """Z on the 1314-row L = 7 spectrum, from the domain edge to
     where the n >= 1 series has one term, is within its estimate of a
     30-digit double product, an estimate below 1e-13 of Z.  The series of
     the n >= 1 factors alone is within its truncation and rounding
