@@ -21,11 +21,13 @@ ascending order of its reversed words; a class is represented by its
 first word in that order, found with no sort as the member whose
 reversed word has the least code among the rotations of the word and
 of its inverse.  That test needs the word alone, so each frontier is
-classified in fixed-size chunks.  Memory is the real limit: each word
-has 7 extensions among the 8 letters of Bolza (4 generators and their
-inverses), so the frontier grows sevenfold per letter, and an
-enumeration is refused before it starts when its estimated peak
-exceeds the physical memory of the machine.
+classified in fixed-size chunks, and the last one is never held whole:
+it is built and classified one letter block, an 8th of it, at a time.
+Memory is the real limit: each word has 7 extensions among the 8
+letters of Bolza (4 generators and their inverses), so each frontier is
+7 times the one before it, and an enumeration is refused before it
+starts when its estimated peak exceeds the physical memory of the
+machine.
 
 Geodesics gamma and gamma^-1 are counted as distinct throughout, the
 convention under which the sine factor in the functional equation has
@@ -87,13 +89,16 @@ from .special import (_EPS, _FLOAT_MIN, DomainError, SpecialValue,
 _TRACE_TOL = 1e-9
 _LENGTH_MERGE_TOL = 1e-9
 _MAX_WORD_LEN = 15  # word codes use 4 bits per letter in a 64-bit int
-# Peak memory of an enumeration per word of its last frontier: 61.5
-# bytes measured at L = 8 (405 MB of ru_maxrss above the interpreter's
-# own for 8*7^7 words, numpy 2.4, CPython 3.11), rounded up.  The last
-# frontier is 48 bytes a word (one 2x2 float64 matrix and two int64
-# codes), written in place; the frontier before it, a 7th of the size,
-# and one letter's gathered matrices, an 8th, make up the rest.
-_PEAK_BYTES_PER_WORD = 64
+# Peak memory of an enumeration per word of its last length: 20.1
+# bytes measured at L = 7 and 19.5 at L = 8 (122 MiB of ru_maxrss above
+# the interpreter's own for 8*7^7 words, numpy 2.4, CPython 3.11),
+# rounded up.  The last frontier is never held whole (see _words).  The
+# length-(L - 1) frontier is 48 bytes a word of its own (one 2x2 float64
+# matrix and two int64 codes), a 7th of the words: 6.9 bytes; one letter
+# block of the last length, an 8th of the words at 48 bytes, is 6; that
+# block's gathered matrices, an 8th at 32 bytes, are 4; the extension's
+# masks and the classification's chunks make up the rest.
+_PEAK_BYTES_PER_WORD = 24
 # Words classified at a time: the classification's temporaries are a
 # chunk in size, whatever the word length.
 _CLASSIFY_CHUNK = 1 << 16
@@ -362,6 +367,34 @@ def exact_orbit_key(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x2[..., 2:], x1[..., 2:]], axis=-1)
 
 
+def _block_sizes(letters: np.ndarray, codes: np.ndarray) -> List[int]:
+    """Sizes of the blocks that extend the words codes by each letter in
+    turn: letter l extends the words that do not end in l ^ 1."""
+    ends = np.bincount((codes & 15) ^ 1, minlength=letters.shape[0])
+    return (codes.size - ends).tolist()
+
+
+def _extend(letters: np.ndarray, n: int, letter: int, codes: np.ndarray,
+            inv: np.ndarray, mats: np.ndarray, out) -> None:
+    """Write the block of letter into out = (codes, inv, mats).
+
+    The block holds the length-(n - 1) words codes, inv, mats (as
+    _frontiers gives them) that do not end in letter ^ 1, in their
+    order, each extended by letter to length n; out is sized to it (see
+    _block_sizes).
+    """
+    mask = (codes & 15) != (letter ^ 1)
+    out_codes, out_inv, out_mats = out
+    np.compress(mask, codes, out=out_codes)
+    out_codes <<= 4
+    out_codes |= letter
+    np.compress(mask, inv, out=out_inv)
+    out_inv |= (letter ^ 1) << 4 * (n - 1)
+    # np.compress gathers the same rows as mats[mask], 3x faster
+    np.matmul(np.compress(mask, mats, axis=0), letters[letter],
+              out=out_mats)
+
+
 def _frontiers(letters: np.ndarray, max_len: int
                ) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Breadth-first search: (n, codes, inv, mats) for n = 1..max_len.
@@ -371,39 +404,51 @@ def _frontiers(letters: np.ndarray, max_len: int
     w_1..w_n as sum w_i 16^(n-i), first letter highest; inv packs its
     inverse word (w_n ^ 1)..(w_1 ^ 1) the same way; mats holds the
     product of its letter matrices.  Words of length n are the words of
-    length n - 1 extended by each letter in turn, one block per letter,
-    so the frontier is in ascending order of its reversed words
-    w_n..w_1, whose codes are inv ^ 0x11..1.  Each block is written
-    straight into the preallocated arrays of the next frontier.
+    length n - 1 extended by each letter in turn, one block per letter
+    (see _extend), so the frontier is in ascending order of its
+    reversed words w_n..w_1, whose codes are inv ^ 0x11..1.  Each block
+    is written straight into the preallocated arrays of the next
+    frontier.  Every frontier is whole; _words streams the last one.
     """
     codes = np.arange(letters.shape[0], dtype=np.int64)
     inv = codes ^ 1
     mats = letters.copy()
     yield 1, codes, inv, mats
     for n in range(2, max_len + 1):
-        last = codes & 15
-        top = 4 * (n - 1)
-        # the words that letter l extends are those not ending in l ^ 1
-        sizes = codes.size - np.bincount(last ^ 1, minlength=letters.shape[0])
-        ends = np.cumsum(sizes).tolist()
-        new_codes = np.empty(ends[-1], dtype=np.int64)
-        new_inv = np.empty_like(new_codes)
-        new_mats = np.empty((ends[-1], 2, 2))
-        begin = 0
-        for letter, end in enumerate(ends):
-            mask = last != (letter ^ 1)
-            block_c, block_i = new_codes[begin:end], new_inv[begin:end]
-            np.compress(mask, codes, out=block_c)
-            block_c <<= 4
-            block_c |= letter
-            np.compress(mask, inv, out=block_i)
-            block_i |= (letter ^ 1) << top
-            # np.compress gathers the same rows as mats[mask], 3x faster
-            np.matmul(np.compress(mask, mats, axis=0), letters[letter],
-                      out=new_mats[begin:end])
-            begin = end
-        codes, inv, mats = new_codes, new_inv, new_mats
+        ends = np.cumsum(_block_sizes(letters, codes)).tolist()
+        new = (np.empty(ends[-1], dtype=np.int64),
+               np.empty(ends[-1], dtype=np.int64), np.empty((ends[-1], 2, 2)))
+        for letter, (begin, end) in enumerate(zip([0] + ends, ends)):
+            _extend(letters, n, letter, codes, inv, mats,
+                    [a[begin:end] for a in new])
+        codes, inv, mats = new
         yield n, codes, inv, mats
+
+
+def _words(letters: np.ndarray, max_len: int
+           ) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Every freely reduced word of length 1..max_len, once, as
+    (n, codes, inv, mats) items in frontier order.
+
+    The items for n < max_len are the whole frontiers of _frontiers;
+    those of length max_len >= 2 come one letter block at a time (see
+    _extend), each written over the last in one buffer, so the last
+    frontier, 7 times the size of the one before it, is never held
+    whole.  An item is valid until the next one is drawn.
+    """
+    for item in _frontiers(letters, max(max_len - 1, 1)):
+        yield item
+    if max_len == 1:
+        return
+    _, codes, inv, mats = item
+    sizes = _block_sizes(letters, codes)
+    buffer = (np.empty(max(sizes), dtype=np.int64),
+              np.empty(max(sizes), dtype=np.int64),
+              np.empty((max(sizes), 2, 2)))
+    for letter, size in enumerate(sizes):
+        block = [a[:size] for a in buffer]
+        _extend(letters, max_len, letter, codes, inv, mats, block)
+        yield (max_len, *block)
 
 
 def _cyclically_reduced(codes: np.ndarray, n: int) -> np.ndarray:
@@ -446,7 +491,7 @@ def _classify_frontier(n: int, codes: np.ndarray, inv: np.ndarray,
                        mats: np.ndarray) -> np.ndarray:
     """Per-class |trace| for the primitive word classes at length n.
 
-    Takes one item of _frontiers, keeps the cyclically reduced words,
+    Takes one item of _words, keeps the cyclically reduced words,
     drops identity words (relators) and proper powers, aborts on any
     elliptic non-identity word, and returns one |trace| per class of
     words up to rotation and inversion: that of the class's first word
@@ -456,8 +501,9 @@ def _classify_frontier(n: int, codes: np.ndarray, inv: np.ndarray,
     and split across a cluster boundary); each merged class stands for
     exactly 2 oriented geodesics, since no element of a surface group
     is conjugate to its own inverse.  Whether a word comes first is
-    decided from the word alone, so the frontier is classified in
-    chunks of _CLASSIFY_CHUNK words and no temporary outgrows a chunk.
+    decided from the word alone, so an item may be a letter block of a
+    frontier, and it is classified in chunks of _CLASSIFY_CHUNK words,
+    so that no temporary outgrows a chunk.
     """
     found = []
     for start in range(0, codes.size, _CLASSIFY_CHUNK):
@@ -515,11 +561,13 @@ def enumerate_spectrum(letters: np.ndarray,
                        max_word_len: int) -> LengthSpectrum:
     """Breadth-first word enumeration up to max_word_len, classified.
 
-    letters is the array bolza_group() returns.  The result is
-    deterministic: the same bound gives the same spectrum on every run.
-    Raises ValueError, before anything is allocated, when the estimated
-    peak memory (_PEAK_BYTES_PER_WORD per word of length max_word_len)
-    exceeds the machine's physical memory.
+    letters is the array bolza_group() returns.  The frontiers of
+    length below max_word_len are classified whole, and the last one
+    one letter block at a time, as _words gives them: it is never held
+    whole.  The result is deterministic: the same bound gives the same
+    spectrum on every run.  Raises ValueError, before anything is
+    allocated, when the estimated peak memory (_PEAK_BYTES_PER_WORD per
+    word of length max_word_len) exceeds the machine's physical memory.
     """
     if max_word_len < 1:
         raise ValueError(f"max_word_len must be >= 1, got {max_word_len}")
@@ -536,11 +584,13 @@ def enumerate_spectrum(letters: np.ndarray,
             f"{max_word_len}), more than the {have / 2**30:,.1f} GiB of "
             "physical memory")
 
-    lengths_per_n = [2.0 * np.arccosh(_classify_frontier(*frontier) / 2.0)
-                     for frontier in _frontiers(letters, max_word_len)]
+    found = [(n, 2.0 * np.arccosh(_classify_frontier(n, *words) / 2.0))
+             for n, *words in _words(letters, max_word_len)]
 
-    horizon = float(np.min(lengths_per_n[-1])) if lengths_per_n[-1].size else 0.0
-    lengths, mults = _merge_rows(np.sort(np.concatenate(lengths_per_n)))
+    last = np.concatenate([ell for n, ell in found if n == max_word_len])
+    horizon = float(np.min(last)) if last.size else 0.0
+    lengths, mults = _merge_rows(
+        np.sort(np.concatenate([ell for _, ell in found])))
     source = (f"bolza-octagon word-enumeration L={max_word_len}; "
               "conjugacy=cyclic-words+trace-clustering (word-level)")
     return LengthSpectrum(lengths, mults, genus=2, source=source,

@@ -25,7 +25,7 @@ from selbergfe.geodesics import (BOLZA_LENGTH, LengthSpectrum,
                                  save_spectrum, selberg_Z, zeta_motive_numeric,
                                  _class_firsts, _classify_frontier,
                                  _cyclically_reduced, _frontiers,
-                                 _merge_rows)
+                                 _merge_rows, _words)
 from selbergfe.laurent import LaurentPoly
 from selbergfe.special import DomainError
 
@@ -82,16 +82,18 @@ def test_letters_read_only(bolza):
 
 
 def test_relator_exists_at_length_8(bolza):
-    """Exhaustive search over cyclically reduced length-8 words finds
-    exactly one relator orbit evaluating to +-identity."""
-    for n, codes, _, mats in _frontiers(bolza, 8):
-        pass
-    mats = mats[_cyclically_reduced(codes, n)]
-    signs = np.sign(mats[:, 0, 0])[:, None, None]
-    dev = np.max(np.abs(mats - signs * np.eye(2)), axis=(1, 2))
-    hits = dev < 1e-9
+    """Exhaustive search over cyclically reduced length-8 words, one
+    letter block at a time, finds exactly one relator orbit evaluating
+    to +-identity."""
+    hits = 0
+    for n, codes, _, mats in _words(bolza, 8):
+        if n == 8:
+            m = mats[_cyclically_reduced(codes, n)]
+            signs = np.sign(m[:, 0, 0])[:, None, None]
+            dev = np.max(np.abs(m - signs * np.eye(2)), axis=(1, 2))
+            hits += int(np.count_nonzero(dev < 1e-9))
     # one relator orbit: 8 rotations x 2 orientations
-    assert hits.sum() == 16
+    assert hits == 16
 
 
 # -- the exact group ---------------------------------------------------
@@ -299,6 +301,45 @@ def test_spectrum_memory_checked_before_allocating(bolza, monkeypatch):
                        r"\(5425784582792 words of length 15\), more than "
                        r"the [\d,.]+ GiB of physical memory"):
         enumerate_spectrum(bolza, 15)
+
+
+class _Started(Exception):
+    pass
+
+
+@pytest.mark.parametrize("short", [1, 0])
+def test_spectrum_memory_check_boundary(bolza, monkeypatch, short):
+    """At L = 9 the search is refused when physical memory is one byte
+    below its estimated peak, and starts when it is exactly that."""
+    need = 8 * 7 ** 8 * geodesics._PEAK_BYTES_PER_WORD
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - short}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+
+    def started(*args):
+        raise _Started
+    monkeypatch.setattr(geodesics, "_frontiers", started)
+    if short:
+        with pytest.raises(ValueError, match=r"about [\d,.]+ GiB at its "
+                           r"peak \(46118408 words of length 9\), more than "
+                           r"the [\d,.]+ GiB of physical memory"):
+            enumerate_spectrum(bolza, 9)
+    else:
+        with pytest.raises(_Started):
+            enumerate_spectrum(bolza, 9)
+
+
+def test_spectrum_classifies_last_level_by_letter_block(bolza, monkeypatch):
+    """Levels 1..4 are classified whole, and level 5, never held whole,
+    one letter block of 7^4 words at a time."""
+    calls = []
+
+    def spy(n, codes, inv, mats):
+        calls.append((n, codes.size))
+        return _classify_frontier(n, codes, inv, mats)
+    monkeypatch.setattr(geodesics, "_classify_frontier", spy)
+    enumerate_spectrum(bolza, 5)
+    assert calls == ([(n, 8 * 7 ** (n - 1)) for n in range(1, 5)]
+                     + [(5, 7 ** 4)] * 8)
 
 
 # SHA-256 of the file save_spectrum writes for the Bolza spectrum at
